@@ -583,7 +583,12 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
     """``repro serve run``: run the coordinator as a TCP service."""
     import asyncio
 
-    from repro.serve import CoordinatorServer, ServeConfig, install_uvloop
+    from repro.serve import (
+        CoordinatorServer,
+        ServeConfig,
+        WalCorruptionError,
+        install_uvloop,
+    )
 
     if args.uvloop and not install_uvloop():
         print("uvloop requested but not installed; using stdlib asyncio",
@@ -625,6 +630,11 @@ def cmd_serve_run(args: argparse.Namespace) -> int:
         asyncio.run(serve())
     except KeyboardInterrupt:
         print("interrupted; WAL closed cleanly")
+    except WalCorruptionError as exc:
+        #: Recovery refused the WAL (corrupt, or another record format)
+        #: before serving; its bytes are as they were.
+        print(f"WAL is corrupt: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -844,6 +854,7 @@ def cmd_store_init(args: argparse.Namespace) -> int:
 
 def cmd_store_import(args: argparse.Namespace) -> int:
     """``repro store import``: backfill a WAL/telemetry dir/sweep root."""
+    from repro.serve import WalCorruptionError
     from repro.store import StoreError, import_any
 
     conn = _open_store(args.store, create=True)
@@ -856,6 +867,9 @@ def cmd_store_import(args: argparse.Namespace) -> int:
     except StoreError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except WalCorruptionError as exc:
+        print(f"WAL is corrupt: {exc}", file=sys.stderr)
+        return 1
     finally:
         conn.close()
     detail = ", ".join(

@@ -46,7 +46,7 @@ from repro.serve.server import (
     replay_wal,
 )
 from repro.serve.shardmap import ShardInfo, ShardMap
-from repro.serve.wal import WalCorruptionError, WriteAheadLog
+from repro.serve.wal import WalCorruptionError, WalFormatError, WriteAheadLog
 from repro.serve.wire import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -73,6 +73,7 @@ __all__ = [
     "VersionMismatchError",
     "WriteAheadLog",
     "WalCorruptionError",
+    "WalFormatError",
     "CoordinatorServer",
     "ServeConfig",
     "build_coordinator",

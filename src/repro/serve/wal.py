@@ -15,14 +15,25 @@ metadata file::
 
     WAL_DIR/
       wal_meta.json        how to rebuild the coordinator (seed, grid, ...)
+                           and the record format (``wal_format``)
       wal-00000001.log     records 0..k
       wal-00000002.log     records k+1.. (rotated at segment_max_bytes)
 
-Each record is one line::
+Each segment starts with the 6-byte header ``\x00RWAL`` + format
+version (:data:`WAL_FORMAT_VERSION`), then holds framed records::
 
-    <crc32 hex, 8 chars> <compact sorted-key JSON>\n
+    >I payload length | >I crc32(payload) | >I crc32(first 8 bytes) | payload
 
-The CRC covers the JSON bytes.  Appends go through a buffered file
+The payload is :func:`repro.serve.wire.pack_record`'s output: tag
+``0x01`` plus the report struct-packed exactly as the binary frame codec
+packs it, or tag ``0x00`` plus canonical JSON for a record that does not
+fit that layout.  A report therefore appends the same bytes whether it
+arrived as JSON or as binary.  The header's own checksum tells a corrupt
+length field apart from a record cut short by a crash.  A segment
+written in the older line format (``<crc32 hex> <JSON>\n``) is refused
+with :class:`WalFormatError` and left untouched.
+
+Appends go through a buffered file
 handle that is ``flush()``-ed to the OS before the append (or batch
 of appends — see below) returns, so a killed *process* loses nothing
 already acknowledged, and ``fsync()``-ed under the **group-commit
@@ -33,12 +44,13 @@ lose).  :meth:`WriteAheadLog.append_many` stages a whole batch with a
 single buffered write and a single flush, which is what the server's
 ingest writer leans on: one group commit per queue drain instead of
 one flush per report.  Replay walks segments in order and verifies
-every CRC; a torn or truncated record is only legal as the final
+every checksum; a torn or bad record is only legal as the final
 record of the final segment — exactly what a mid-write crash produces
 (a torn batched write persists a prefix of complete records plus at
-most one partial line, which is the same shape) — and recovery stops
-there.  Corruption anywhere else raises :class:`WalCorruptionError`
-loudly instead of silently dropping data.
+most one partial record, which is the same shape) — and recovery stops
+there.  Corruption anywhere else, a corrupt record header included,
+raises :class:`WalCorruptionError` loudly instead of silently dropping
+data.
 """
 
 from __future__ import annotations
@@ -46,14 +58,20 @@ from __future__ import annotations
 import json
 import os
 import re
+import struct
 import time
 import zlib
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.serve.wire import ProtocolError, pack_record, unpack_record
+
 __all__ = [
     "WAL_META_FILENAME",
+    "WAL_FORMAT_VERSION",
     "SEGMENT_PREFIX",
+    "SEGMENT_HEADER",
     "WalCorruptionError",
+    "WalFormatError",
     "WriteAheadLog",
     "iter_wal_records",
     "read_wal",
@@ -63,6 +81,28 @@ __all__ = [
 WAL_META_FILENAME = "wal_meta.json"
 SEGMENT_PREFIX = "wal-"
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
+
+#: Record format written by this build.  Version 1 was the line format
+#: (``<crc32 hex> <JSON>\n``, no segment header); this build reads and
+#: writes version 2 only.
+WAL_FORMAT_VERSION = 2
+
+#: Every segment opens with this: a magic that no line-format segment
+#: can start with (those begin with a hex digit), then the version.
+SEGMENT_MAGIC = b"\x00RWAL"
+SEGMENT_HEADER = SEGMENT_MAGIC + bytes((WAL_FORMAT_VERSION,))
+
+#: Record header: payload length, crc32(payload), then crc32 of those
+#: first 8 bytes — so a corrupt length is caught, not read as a tear.
+_RECORD_HEAD = struct.Struct(">III")
+_pack_len_crc = struct.Struct(">II").pack
+_pack_u32 = struct.Struct(">I").pack
+_crc32 = zlib.crc32
+
+#: How a line-format (version 1) segment starts: 8 hex digits, a space.
+_LINE_FORMAT_RE = re.compile(rb"[0-9a-f]{8} ")
+#: Bytes of a segment's start that tell its format.
+_FORMAT_PROBE_BYTES = 9
 
 #: Default segment rotation threshold (bytes of records per segment).
 DEFAULT_SEGMENT_MAX_BYTES = 8 * 1024 * 1024
@@ -78,6 +118,14 @@ DEFAULT_FSYNC_INTERVAL_S = 0.0
 
 class WalCorruptionError(Exception):
     """A CRC/parse failure anywhere a crash could not have produced it."""
+
+
+class WalFormatError(WalCorruptionError):
+    """A segment in a record format this build does not read.
+
+    Raised before any repair, so the refused segment's bytes are left
+    as they were; replay it with the build that wrote it.
+    """
 
 
 def _segment_name(index: int) -> str:
@@ -121,11 +169,14 @@ class WriteAheadLog:
             #: Truncate it back to its last valid record so every closed
             #: segment is clean — appends then continue in a fresh
             #: segment and replay never meets a torn non-final segment.
+            #: A segment in another record format is refused before
+            #: the repair could truncate anything of it.
             _repair_tail(existing[-1])
             last = os.path.basename(existing[-1])
             self._segment_index = int(_SEGMENT_RE.match(last).group(1)) + 1
             self.records_logged = sum(
-                1 for _ in iter_wal_records(wal_dir)
+                sum(1 for _ in _scan_segment(path, i == len(existing) - 1))
+                for i, path in enumerate(existing)
             )
         else:
             self._segment_index = 1
@@ -144,15 +195,17 @@ class WriteAheadLog:
         path = os.path.join(self.wal_dir, _segment_name(self._segment_index))
         self._fh = open(path, "ab")
         self._fh_bytes = self._fh.tell()
+        if self._fh_bytes == 0:
+            #: Buffered: it reaches the OS with the first records.
+            self._fh.write(SEGMENT_HEADER)
+            self._fh_bytes = len(SEGMENT_HEADER)
 
     @staticmethod
     def encode_record(record: Dict[str, Any]) -> bytes:
-        """One record dict -> its CRC-prefixed WAL line (with newline)."""
-        payload = json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        return (b"%08x " % (zlib.crc32(payload) & 0xFFFFFFFF,)
-                + payload + b"\n")
+        """One record dict -> its framed, checksummed WAL record bytes."""
+        payload = pack_record(record)
+        head = _pack_len_crc(len(payload), _crc32(payload))
+        return head + _pack_u32(_crc32(head)) + payload
 
     def append(self, record: Dict[str, Any]) -> int:
         """Durably stage one record; returns its log sequence number.
@@ -179,8 +232,7 @@ class WriteAheadLog:
             return []
         if self._fh is None:
             self._open_segment()
-        encode = self.encode_record
-        blob = b"".join(encode(r) for r in records)
+        blob = b"".join(map(self.encode_record, records))
         self._fh.write(blob)
         self._fh.flush()
         seq_lo = self.records_logged
@@ -254,9 +306,14 @@ class WriteAheadLog:
     # -- metadata --------------------------------------------------------
 
     def write_meta(self, meta: Dict[str, Any]) -> None:
-        """Persist ``wal_meta.json`` (how to rebuild the coordinator)."""
+        """Persist ``wal_meta.json`` (how to rebuild the coordinator).
+
+        The record format this log writes is stamped in as
+        ``wal_format``.
+        """
         path = os.path.join(self.wal_dir, WAL_META_FILENAME)
         tmp = path + ".tmp"
+        meta = dict(meta, wal_format=WAL_FORMAT_VERSION)
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
             fh.flush()
@@ -274,36 +331,90 @@ class WriteAheadLog:
             return None
 
 
+def _check_format(name: str, head: bytes) -> None:
+    """Raise :class:`WalFormatError` if a segment's first bytes ``head``
+    show another record format."""
+    if _LINE_FORMAT_RE.match(head):
+        raise WalFormatError(
+            f"{name}: segment is in the line format of an older build; "
+            "this build refuses it (replay it with the build that wrote "
+            "it)"
+        )
+    if (head.startswith(SEGMENT_MAGIC) and len(head) >= len(SEGMENT_HEADER)
+            and not head.startswith(SEGMENT_HEADER)):
+        raise WalFormatError(
+            f"{name}: segment has record format version "
+            f"{head[len(SEGMENT_MAGIC)]}; "
+            f"this build reads version {WAL_FORMAT_VERSION} only"
+        )
+
+
+def _scan_segment(path: str, final: bool) -> Iterator[Tuple[memoryview,
+                                                             int]]:
+    """Yield ``(payload, end offset)`` of each intact record in a segment.
+
+    Stops quietly at the damage a crash can leave, which is legal only
+    when ``final`` (the last segment): a torn segment header, a record
+    header or payload cut short, or a complete final record whose
+    payload fails its CRC.  Anything else raises
+    :class:`WalCorruptionError`, and a segment in another record
+    format raises :class:`WalFormatError`.
+    """
+    name = os.path.basename(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    _check_format(name, data[:_FORMAT_PROBE_BYTES])
+    if not data.startswith(SEGMENT_HEADER):
+        if not data or (final and SEGMENT_HEADER.startswith(data)):
+            return  # empty, or a header torn by a crash
+        raise WalCorruptionError(f"{name}: bad segment header")
+    view = memoryview(data)
+    size = len(data)
+    crc32 = _crc32
+    unpack_head = _RECORD_HEAD.unpack_from
+    offset = len(SEGMENT_HEADER)
+    index = 0
+    while offset < size:
+        index += 1
+        start = offset + _RECORD_HEAD.size
+        if start > size:
+            break  # torn record header
+        length, payload_crc, head_crc = unpack_head(data, offset)
+        if crc32(view[offset:offset + 8]) != head_crc:
+            raise WalCorruptionError(
+                f"{name}: corrupt header of record {index} at byte {offset}"
+            )
+        end = start + length
+        if end > size:
+            break  # torn payload
+        payload = view[start:end]
+        if crc32(payload) != payload_crc:
+            if final and end == size:
+                #: Final record of the final segment failed its CRC: a
+                #: torn write that still reached its full length.
+                return
+            raise WalCorruptionError(
+                f"{name}: bad record {index} at byte {offset}"
+            )
+        yield payload, end
+        offset = end
+    if offset < size and not final:
+        raise WalCorruptionError(
+            f"{name}: torn record in a non-final segment"
+        )
+
+
 def _repair_tail(segment_path: str) -> None:
     """Truncate a segment to its last valid record (crash-tail repair)."""
-    with open(segment_path, "rb") as fh:
-        data = fh.read()
     good_end = 0
-    for line in data.split(b"\n")[:-1]:
-        if _parse_line(line) is None:
-            break
-        good_end += len(line) + 1
-    if good_end < len(data):
+    for _, good_end in _scan_segment(segment_path, final=True):
+        pass
+    size = os.path.getsize(segment_path)
+    if good_end == 0 and size >= len(SEGMENT_HEADER):
+        good_end = len(SEGMENT_HEADER)  # a header and no intact record
+    if good_end < size:
         with open(segment_path, "ab") as fh:
             fh.truncate(good_end)
-
-
-def _parse_line(line: bytes) -> Optional[Dict[str, Any]]:
-    """One WAL line -> record dict, or None when torn/corrupt."""
-    if len(line) < 10 or line[8:9] != b" ":
-        return None
-    payload = line[9:]
-    try:
-        expected = int(line[:8], 16)
-    except ValueError:
-        return None
-    if zlib.crc32(payload) & 0xFFFFFFFF != expected:
-        return None
-    try:
-        record = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    return record if isinstance(record, dict) else None
 
 
 def iter_wal_records(wal_dir: str) -> Iterator[Dict[str, Any]]:
@@ -312,37 +423,21 @@ def iter_wal_records(wal_dir: str) -> Iterator[Dict[str, Any]]:
     Tolerates exactly the damage a crash can cause: a torn or truncated
     *final* record of the *final* segment (replay stops there).  A bad
     record anywhere else — mid-segment, or in a non-final segment —
-    raises :class:`WalCorruptionError`.
+    raises :class:`WalCorruptionError`; a segment in another record
+    format raises :class:`WalFormatError`.
     """
     segments = wal_segments(wal_dir)
     for seg_i, path in enumerate(segments):
-        last_segment = seg_i == len(segments) - 1
-        with open(path, "rb") as fh:
-            data = fh.read()
-        lines = data.split(b"\n")
-        #: A well-formed file ends with a newline, leaving one empty
-        #: trailing chunk; anything else is a torn tail.
-        torn_tail = lines and lines[-1] != b""
-        body = lines[:-1]
-        for line_i, line in enumerate(body):
-            record = _parse_line(line)
-            if record is None:
-                if last_segment and line_i == len(body) - 1 and not torn_tail:
-                    #: Final complete line of the final segment failed
-                    #: its CRC: a torn write that still got its newline.
-                    return
+        final = seg_i == len(segments) - 1
+        for payload, end in _scan_segment(path, final):
+            try:
+                record = unpack_record(payload)
+            except ProtocolError as exc:
                 raise WalCorruptionError(
-                    f"{os.path.basename(path)}: bad record at line "
-                    f"{line_i + 1}"
-                )
+                    f"{os.path.basename(path)}: undecodable record ending "
+                    f"at byte {end}: {exc}"
+                ) from None
             yield record
-        if torn_tail:
-            if last_segment:
-                return
-            raise WalCorruptionError(
-                f"{os.path.basename(path)}: torn record in a non-final "
-                "segment"
-            )
 
 
 def read_wal(wal_dir: str) -> Tuple[List[Dict[str, Any]], Optional[Dict[str, Any]]]:

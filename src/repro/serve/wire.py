@@ -15,12 +15,14 @@ by the session's negotiated **codec**:
   non-strict JSON extension is safe.
 * ``binary`` (opt-in, negotiated in HELLO/WELCOME) — a tagged payload.
   REPORT_BATCH frames whose reports conform to the canonical report
-  schema are struct-packed (IEEE-754 doubles, so every float — NaN
-  and infinities included — round-trips bit-exactly); every other
+  schema are struct-packed (IEEE-754 doubles, so every float —
+  infinities and negative zero included — round-trips exactly, and a
+  NaN arrives as the one NaN canonical JSON decodes to); every other
   message rides as canonical JSON behind a one-byte tag.  Decoding a
   binary payload reproduces the sender's message dict *exactly* (same
-  keys, same value types), which is what keeps WAL bytes identical
-  across codecs for the same report stream.
+  keys, same value types).  The per-report packing is also the WAL's
+  record payload (:func:`pack_record`), so a report appends the same
+  WAL bytes whichever codec carried it.
 
 HELLO and WELCOME are always JSON — a client offers ``"codecs"`` in
 HELLO, the server picks one and names it in WELCOME, and both ends
@@ -65,7 +67,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.clients.protocol import (
     MeasurementReport,
@@ -90,6 +92,8 @@ __all__ = [
     "VersionMismatchError",
     "encode_frame",
     "decode_payload",
+    "pack_record",
+    "unpack_record",
     "read_frame",
     "task_to_wire",
     "task_from_wire",
@@ -182,9 +186,7 @@ def encode_frame(message: Dict[str, Any],
     if codec == CODEC_BINARY:
         payload = _encode_binary_payload(message)
     else:
-        payload = json.dumps(
-            message, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        payload = _canonical_json(message)
     if len(payload) > max_frame_bytes:
         raise FrameTooLargeError(
             f"frame payload {len(payload)} bytes > limit {max_frame_bytes}"
@@ -196,12 +198,7 @@ def decode_payload(payload: bytes, codec: str = CODEC_JSON) -> Dict[str, Any]:
     """Parse a frame payload into its message dict (typed errors only)."""
     if codec == CODEC_BINARY:
         return _decode_binary_payload(payload)
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"payload is not valid JSON: {exc}") from None
-    if not isinstance(message, dict):
-        raise ProtocolError("frame payload must be a JSON object")
+    message = _json_object(payload)
     kind = message.get("type")
     if not isinstance(kind, str):
         raise ProtocolError("frame has no string 'type'")
@@ -249,35 +246,52 @@ async def read_frame(
 #
 # A binary payload is a one-byte tag followed by tag-specific bytes:
 #
-#   0x00  the remaining bytes are the message's canonical JSON (the
-#         escape hatch every frame type can ride);
-#   0x01  a struct-packed REPORT_BATCH whose reports all conform to the
-#         canonical report schema (exactly the keys report_to_wire
-#         emits, with their canonical types).
+#   0x00  the remaining bytes are canonical JSON (the escape hatch every
+#         frame type, and every report, can ride);
+#   0x01  struct-packed report bodies: in a frame, a REPORT_BATCH header
+#         and then every report packed back to back; in a WAL record
+#         (pack_record), exactly one report.
 #
-# Packing is *type-preserving*: decode(encode(m)) == m with identical
-# value types, so the WAL lines the server writes are byte-identical
-# whether a report stream arrived as JSON or binary.  A REPORT_BATCH
-# whose reports do not conform (an int where a float belongs, an exotic
-# key, an out-of-range task_id) silently falls back to the JSON tag —
+# One report codec serves both: the REPORT_BATCH functions loop over
+# the per-report body that pack_record/unpack_record wrap, so a frame
+# and a WAL record carry the same bytes for the same report.  Packing
+# is *type-preserving*: unpack(pack(r)) == r with identical value
+# types, extras are packed in sorted key order, and every NaN is packed
+# as the NaN canonical JSON decodes to — so a report packs to the same
+# bytes whether it crossed the wire as binary or as JSON.  A report
+# that does not conform (an int where a float belongs, an exotic key,
+# an out-of-range task_id) silently falls back to the JSON tag —
 # conformance buys speed, never correctness.
+#
+# Packed report body (big-endian):
+#
+#   >q6dBBH  task_id, start_s, end_s, lat, lon, speed_ms, value, then the
+#            UTF-8 byte lengths of network, kind and client_id
+#            network, kind, client_id (UTF-8)
+#   >I       len(samples), then that many >d
+#   >I       len(extras), then per key: >H key length, key, >d value
 
 _BIN_TAG_JSON = 0x00
-_BIN_TAG_REPORT_BATCH = 0x01
+_BIN_TAG_PACKED = 0x01
 
 #: REPORT_BATCH binary header: tag, seq_lo (i64), report count (u32).
 _BIN_BATCH_HEADER = struct.Struct(">BqI")
-#: Per-report fixed numeric block: task_id (i64) then the six canonical
-#: doubles (start_s, end_s, lat, lon, speed_ms, value).
-_BIN_REPORT_FIXED = struct.Struct(">q6d")
-#: Per-report string sizes: len(network) u8, len(kind) u8,
-#: len(client_id) u16.
-_BIN_REPORT_STRLENS = struct.Struct(">BBH")
+#: Fixed head of a packed report body (see the layout above).
+_BIN_REPORT_HEAD = struct.Struct(">q6dBBH")
 _BIN_U32 = struct.Struct(">I")
 _BIN_U16 = struct.Struct(">H")
 _BIN_DOUBLE = struct.Struct(">d")
+#: The smallest packed report: its head, no strings, two zero counts.
+#: A hostile report count is checked against it before any allocation.
+_BIN_REPORT_MIN = _BIN_REPORT_HEAD.size + 2 * _BIN_U32.size
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+_FLOAT_ONLY = frozenset({float})
+
+#: The NaN that canonical JSON decodes to.  Every NaN is packed as this
+#: one, so NaN payload bits a JSON round trip would drop never reach
+#: the packed form either.
+_CANONICAL_NAN = json.loads("NaN")
 
 #: The exact key set of a canonical wire report (what report_to_wire
 #: emits); anything else falls back to the JSON tag.
@@ -288,22 +302,207 @@ _REPORT_KEYS = frozenset(
     }
 )
 
+_NO_EXTRAS = _BIN_U32.pack(0)
+_COUNTED_DOUBLES: Dict[int, struct.Struct] = {}
+
 
 class _NotPackable(Exception):
-    """A REPORT_BATCH does not conform to the struct-packed schema."""
+    """A report or REPORT_BATCH does not conform to the packed schema."""
 
 
-def _is_float(v: Any) -> bool:
-    return type(v) is float
+def _canonical_json(message: Any) -> bytes:
+    """Sorted-key, compact JSON bytes (the one canonical spelling)."""
+    return json.dumps(
+        message, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+
+
+def _json_object(data: Any) -> Dict[str, Any]:
+    """UTF-8 JSON bytes -> a dict (:class:`ProtocolError` otherwise)."""
+    try:
+        obj = json.loads(str(data, "utf-8"))
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+        raise ProtocolError(f"payload is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ProtocolError("payload must be a JSON object")
+    return obj
 
 
 def _is_int64(v: Any) -> bool:
     return type(v) is int and _INT64_MIN <= v <= _INT64_MAX
 
 
+def _counted_doubles(n: int) -> struct.Struct:
+    """Struct for a u32 count then ``n`` doubles (memoized for small ``n``)."""
+    s = _COUNTED_DOUBLES.get(n)
+    if s is None:
+        s = struct.Struct(f">I{n}d")
+        if n <= 256:  # hostile counts must not grow the memo
+            _COUNTED_DOUBLES[n] = s
+    return s
+
+
+def _pack_report(r: Any) -> bytes:
+    """One conforming report's packed body (raises _NotPackable)."""
+    #: Twelve entries, all twelve canonical keys present: exactly the
+    #: canonical key set.
+    if type(r) is not dict or len(r) != len(_REPORT_KEYS):
+        raise _NotPackable
+    try:
+        task_id = r["task_id"]
+        samples = r["samples"]
+        extras = r["extras"]
+        fixed = (r["start_s"], r["end_s"], r["lat"], r["lon"],
+                 r["speed_ms"], r["value"])
+        network, kind, client_id = r["network"], r["kind"], r["client_id"]
+    except KeyError:
+        raise _NotPackable from None
+    if (not _is_int64(task_id) or type(samples) is not list
+            or type(extras) is not dict
+            or not _FLOAT_ONLY.issuperset(map(type, fixed))
+            or not _FLOAT_ONLY.issuperset(map(type, samples))):
+        raise _NotPackable
+    total = sum(samples, sum(fixed))
+    if total != total:
+        #: Some value is NaN (or +inf and -inf cancelled): spell every
+        #: NaN the canonical way.
+        fixed = [v if v == v else _CANONICAL_NAN for v in fixed]
+        samples = [v if v == v else _CANONICAL_NAN for v in samples]
+    try:
+        network = network.encode()
+        kind = kind.encode()
+        client_id = client_id.encode()
+        n = len(samples)
+        body = (
+            _BIN_REPORT_HEAD.pack(task_id, *fixed, len(network), len(kind),
+                                  len(client_id))
+            + network + kind + client_id
+            + _counted_doubles(n).pack(n, *samples)
+        )
+        if not extras:
+            return body + _NO_EXTRAS
+        parts = [body, _BIN_U32.pack(len(extras))]
+        for k in sorted(extras):
+            v = extras[k]
+            if type(k) is not str or type(v) is not float:
+                raise _NotPackable
+            kb = k.encode()
+            parts.append(_BIN_U16.pack(len(kb)) + kb + _BIN_DOUBLE.pack(
+                v if v == v else _CANONICAL_NAN
+            ))
+        return b"".join(parts)
+    except (AttributeError, TypeError, UnicodeEncodeError, struct.error):
+        #: A non-string where a string belongs, a lone surrogate, a
+        #: string too long for its length field — all mean "not the
+        #: canonical shape", not an error.
+        raise _NotPackable from None
+
+
+def _unpack_report(view: memoryview, offset: int) -> Tuple[Dict[str, Any],
+                                                           int]:
+    """One packed report body at ``offset`` -> (report dict, end offset).
+
+    Raises :class:`ProtocolError` on an overrun, ``struct.error`` or
+    ``UnicodeDecodeError`` on other malformed bytes (callers map both).
+    """
+    end = len(view)
+    (task_id, start_s, end_s, lat, lon, speed_ms, value, n_net, n_kind,
+     n_client) = _BIN_REPORT_HEAD.unpack_from(view, offset)
+    offset += _BIN_REPORT_HEAD.size
+    kind_at = offset + n_net
+    client_at = kind_at + n_kind
+    strings_end = client_at + n_client
+    if strings_end > end:
+        raise ProtocolError("truncated string in packed report")
+    strings = str(view[offset:strings_end], "utf-8")
+    if len(strings) == strings_end - offset:
+        #: All ASCII: byte offsets are character offsets.
+        network = strings[:n_net]
+        kind = strings[n_net:n_net + n_kind]
+        client_id = strings[n_net + n_kind:]
+    else:
+        network = str(view[offset:kind_at], "utf-8")
+        kind = str(view[kind_at:client_at], "utf-8")
+        client_id = str(view[client_at:strings_end], "utf-8")
+    (n_samples,) = _BIN_U32.unpack_from(view, strings_end)
+    offset = strings_end + _BIN_U32.size
+    if n_samples * 8 > end - offset:
+        raise ProtocolError("packed report samples overrun payload")
+    _, *samples = _counted_doubles(n_samples).unpack_from(view, strings_end)
+    offset += 8 * n_samples
+    (n_extras,) = _BIN_U32.unpack_from(view, offset)
+    offset += _BIN_U32.size
+    if n_extras * (_BIN_U16.size + 8) > end - offset:
+        raise ProtocolError("packed report extras overrun payload")
+    extras = {}
+    for _ in range(n_extras):
+        (n_key,) = _BIN_U16.unpack_from(view, offset)
+        offset += _BIN_U16.size
+        if offset + n_key > end:
+            raise ProtocolError("truncated extras key in packed report")
+        key = str(view[offset:offset + n_key], "utf-8")
+        offset += n_key
+        (extras[key],) = _BIN_DOUBLE.unpack_from(view, offset)
+        offset += _BIN_DOUBLE.size
+    return {
+        "task_id": task_id,
+        "client_id": client_id,
+        "network": network,
+        "kind": kind,
+        "start_s": start_s,
+        "end_s": end_s,
+        "lat": lat,
+        "lon": lon,
+        "speed_ms": speed_ms,
+        "value": value,
+        "samples": samples,
+        "extras": extras,
+    }, offset
+
+
+def pack_record(record: Dict[str, Any]) -> bytes:
+    """One report dict -> its tagged binary form.
+
+    A report of the canonical wire shape is struct-packed behind tag
+    ``0x01``; any other dict rides as canonical JSON behind tag
+    ``0x00``.  This is the payload of every WAL record
+    (:mod:`repro.serve.wal`), and the body a REPORT_BATCH frame repeats.
+    """
+    try:
+        return b"\x01" + _pack_report(record)
+    except _NotPackable:
+        return b"\x00" + _canonical_json(record)
+
+
+def unpack_record(payload: Any) -> Dict[str, Any]:
+    """Tagged bytes from :func:`pack_record` -> the record dict.
+
+    Raises :class:`ProtocolError` for bytes :func:`pack_record` could
+    not have produced (unknown tag, truncation, trailing bytes, bad
+    UTF-8, JSON that is not an object).
+    """
+    if not payload:
+        raise ProtocolError("empty record")
+    tag = payload[0]
+    if tag == _BIN_TAG_JSON:
+        return _json_object(payload[1:])
+    if tag != _BIN_TAG_PACKED:
+        raise ProtocolError(f"unknown record tag 0x{tag:02x}")
+    view = memoryview(payload)
+    try:
+        record, offset = _unpack_report(view, 1)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"malformed packed record: {exc}") from None
+    if offset != len(view):
+        raise ProtocolError(
+            f"packed record has {len(view) - offset} trailing byte(s)"
+        )
+    return record
+
+
 def _pack_report_batch(message: Dict[str, Any]) -> bytes:
     """Struct-pack a conforming REPORT_BATCH (raises _NotPackable)."""
-    if set(message) != {"type", "seq_lo", "reports"}:
+    if message.keys() != {"type", "seq_lo", "reports"}:
         raise _NotPackable
     seq_lo = message["seq_lo"]
     reports = message["reports"]
@@ -311,62 +510,9 @@ def _pack_report_batch(message: Dict[str, Any]) -> bytes:
         raise _NotPackable
     if len(reports) > 0xFFFFFFFF:
         raise _NotPackable
-    parts = [_BIN_BATCH_HEADER.pack(_BIN_TAG_REPORT_BATCH, seq_lo,
-                                    len(reports))]
-    append = parts.append
-    try:
-        for r in reports:
-            if type(r) is not dict or set(r) != _REPORT_KEYS:
-                raise _NotPackable
-            task_id = r["task_id"]
-            if not _is_int64(task_id):
-                raise _NotPackable
-            start_s, end_s = r["start_s"], r["end_s"]
-            lat, lon = r["lat"], r["lon"]
-            speed_ms, value = r["speed_ms"], r["value"]
-            for v in (start_s, end_s, lat, lon, speed_ms, value):
-                if not _is_float(v):
-                    raise _NotPackable
-            network = r["network"].encode("utf-8")
-            kind = r["kind"].encode("utf-8")
-            client_id = r["client_id"].encode("utf-8")
-            if len(network) > 0xFF or len(kind) > 0xFF:
-                raise _NotPackable
-            if len(client_id) > 0xFFFF:
-                raise _NotPackable
-            samples = r["samples"]
-            extras = r["extras"]
-            if type(samples) is not list or type(extras) is not dict:
-                raise _NotPackable
-            if not all(_is_float(s) for s in samples):
-                raise _NotPackable
-            append(_BIN_REPORT_FIXED.pack(
-                task_id, start_s, end_s, lat, lon, speed_ms, value
-            ))
-            append(_BIN_REPORT_STRLENS.pack(
-                len(network), len(kind), len(client_id)
-            ))
-            append(network)
-            append(kind)
-            append(client_id)
-            append(_BIN_U32.pack(len(samples)))
-            if samples:
-                append(struct.pack(f">{len(samples)}d", *samples))
-            append(_BIN_U32.pack(len(extras)))
-            for k, v in extras.items():
-                if type(k) is not str or not _is_float(v):
-                    raise _NotPackable
-                kb = k.encode("utf-8")
-                if len(kb) > 0xFFFF:
-                    raise _NotPackable
-                append(_BIN_U16.pack(len(kb)))
-                append(kb)
-                append(_BIN_DOUBLE.pack(v))
-    except (AttributeError, TypeError, struct.error):
-        #: A non-string where a string belongs, a list of non-numbers,
-        #: etc. — all mean "not the canonical shape", not an error.
-        raise _NotPackable from None
-    return b"".join(parts)
+    return _BIN_BATCH_HEADER.pack(
+        _BIN_TAG_PACKED, seq_lo, len(reports)
+    ) + b"".join(map(_pack_report, reports))
 
 
 def _encode_binary_payload(message: Dict[str, Any]) -> bytes:
@@ -376,9 +522,7 @@ def _encode_binary_payload(message: Dict[str, Any]) -> bytes:
             return _pack_report_batch(message)
         except _NotPackable:
             pass
-    return bytes((_BIN_TAG_JSON,)) + json.dumps(
-        message, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return b"\x00" + _canonical_json(message)
 
 
 def _decode_binary_payload(payload: bytes) -> Dict[str, Any]:
@@ -388,7 +532,7 @@ def _decode_binary_payload(payload: bytes) -> Dict[str, Any]:
     tag = payload[0]
     if tag == _BIN_TAG_JSON:
         return decode_payload(payload[1:], CODEC_JSON)
-    if tag == _BIN_TAG_REPORT_BATCH:
+    if tag == _BIN_TAG_PACKED:
         return _unpack_report_batch(payload)
     raise ProtocolError(f"unknown binary payload tag 0x{tag:02x}")
 
@@ -398,77 +542,22 @@ def _unpack_report_batch(payload: bytes) -> Dict[str, Any]:
     view = memoryview(payload)
     try:
         _, seq_lo, count = _BIN_BATCH_HEADER.unpack_from(view, 0)
-        offset = _BIN_BATCH_HEADER.size
-        #: Each report needs at least its fixed blocks; a hostile count
-        #: is caught before any per-report allocation.
-        min_per_report = (_BIN_REPORT_FIXED.size + _BIN_REPORT_STRLENS.size
-                          + 2 * _BIN_U32.size)
-        if count * min_per_report > len(payload):
+        if count * _BIN_REPORT_MIN > len(payload):
             raise ProtocolError(
                 f"binary batch claims {count} reports in "
                 f"{len(payload)} bytes"
             )
+        offset = _BIN_BATCH_HEADER.size
         reports = []
         for _ in range(count):
-            (task_id, start_s, end_s, lat, lon, speed_ms,
-             value) = _BIN_REPORT_FIXED.unpack_from(view, offset)
-            offset += _BIN_REPORT_FIXED.size
-            n_net, n_kind, n_client = _BIN_REPORT_STRLENS.unpack_from(
-                view, offset
-            )
-            offset += _BIN_REPORT_STRLENS.size
-            if offset + n_net + n_kind + n_client > len(payload):
-                raise ProtocolError("truncated string in binary batch")
-            network = str(view[offset:offset + n_net], "utf-8")
-            offset += n_net
-            kind = str(view[offset:offset + n_kind], "utf-8")
-            offset += n_kind
-            client_id = str(view[offset:offset + n_client], "utf-8")
-            offset += n_client
-            (n_samples,) = _BIN_U32.unpack_from(view, offset)
-            offset += _BIN_U32.size
-            if n_samples * 8 > len(payload) - offset:
-                raise ProtocolError("binary batch samples overrun payload")
-            samples = list(
-                struct.unpack_from(f">{n_samples}d", view, offset)
-            )
-            offset += 8 * n_samples
-            (n_extras,) = _BIN_U32.unpack_from(view, offset)
-            offset += _BIN_U32.size
-            if n_extras * (_BIN_U16.size + 8) > len(payload) - offset:
-                raise ProtocolError("binary batch extras overrun payload")
-            extras = {}
-            for _k in range(n_extras):
-                (n_key,) = _BIN_U16.unpack_from(view, offset)
-                offset += _BIN_U16.size
-                key = str(view[offset:offset + n_key], "utf-8")
-                if len(key.encode("utf-8")) != n_key:
-                    raise ProtocolError(
-                        "truncated extras key in binary batch"
-                    )
-                offset += n_key
-                (extras[key],) = _BIN_DOUBLE.unpack_from(view, offset)
-                offset += _BIN_DOUBLE.size
-            reports.append({
-                "task_id": task_id,
-                "client_id": client_id,
-                "network": network,
-                "kind": kind,
-                "start_s": start_s,
-                "end_s": end_s,
-                "lat": lat,
-                "lon": lon,
-                "speed_ms": speed_ms,
-                "value": value,
-                "samples": samples,
-                "extras": extras,
-            })
-        if offset != len(payload):
-            raise ProtocolError(
-                f"binary batch has {len(payload) - offset} trailing byte(s)"
-            )
+            report, offset = _unpack_report(view, offset)
+            reports.append(report)
     except (struct.error, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed binary batch: {exc}") from None
+    if offset != len(payload):
+        raise ProtocolError(
+            f"binary batch has {len(payload) - offset} trailing byte(s)"
+        )
     return {"type": "REPORT_BATCH", "seq_lo": seq_lo, "reports": reports}
 
 

@@ -79,36 +79,35 @@ class TestServeSession:
                                     client_id="s-1", networks=[]):
                 session = ServeSession("127.0.0.1", server.port,
                                        client_id="s-2", networks=[])
-                with pytest.raises(WireError):
+                with pytest.raises(WireError, match="server-full"):
                     await session.open()
                 await session.close()
+            assert server.metrics.counter(
+                "serve.admission_rejections").value == 1
 
         with_server(scenario, max_sessions=1)
 
     def test_send_report_retry_budget(self):
         async def scenario(server):
-            # Park the worker so every report meets a full queue.
-            server._ingest_task.cancel()
-            try:
-                await server._ingest_task
-            except asyncio.CancelledError:
-                pass
-            await server._ingest_queue.put(({}, 0, 0.0))  # fill depth 1
+            #: Use up the report-counted ingest budget that admission
+            #: checks, so every send meets backpressure.
+            server._ingest_pending = server.config.ingest_queue_max
             from repro.serve.loadgen import synthetic_report
 
             async with ServeSession("127.0.0.1", server.port,
                                     client_id="s-1",
                                     networks=["NetA"]) as session:
-                with pytest.raises(WireError):
+                with pytest.raises(WireError,
+                                   match="not accepted after 2 retries"):
                     await session.send_report(
                         synthetic_report(0, 0), max_retries=2
                     )
-            # Leave a live worker behind so stop() can drain the queue.
-            server._ingest_queue.get_nowait()
-            server._ingest_queue.task_done()
-            server._ingest_task = asyncio.ensure_future(
-                server._ingest_worker()
-            )
+            #: The first send plus max_retries resends, each a RETRY.
+            assert server.metrics.counter(
+                "serve.backpressure_rejections").value == 3
+            assert server.metrics.counter(
+                "serve.reports_acked").value == 0
+            server._ingest_pending = 0
 
         with_server(scenario, ingest_queue_max=1, retry_after_s=0.01)
 
