@@ -497,6 +497,7 @@ def cmd_sweep_status(args: argparse.Namespace) -> int:
     """``repro sweep status``: per-cell progress of a sweep directory."""
     import json
 
+    from repro.obs.events import read_json_tolerant
     from repro.sweep import (
         CELL_FILENAME,
         CELLS_DIRNAME,
@@ -524,11 +525,9 @@ def cmd_sweep_status(args: argparse.Namespace) -> int:
             if not record_path.is_file():
                 counts["running"] = counts.get("running", 0) + 1
                 continue
-            try:
-                status = json.loads(record_path.read_text()).get(
-                    "status", "unknown")
-            except ValueError:
-                status = "unreadable"
+            record, _ = read_json_tolerant(record_path)
+            status = (record.get("status", "unknown") if record is not None
+                      else "unreadable")
             counts[status] = counts.get(status, 0) + 1
             done += 1
     pct = 100.0 * done / max(1, manifest["n_cells"])

@@ -33,7 +33,7 @@ from repro.obs.events import (
     SCHEMA_VERSION,
     EventLog,
     NullEventLog,
-    read_events,
+    read_json_tolerant,
     read_jsonl_tolerant,
 )
 from repro.obs.exposition import (
@@ -51,6 +51,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
+    merge_snapshots,
     quantile_from_snapshot,
 )
 from repro.obs.report import (
@@ -68,7 +69,6 @@ from repro.obs.snapshots import (
     SNAPSHOT_SCHEMA_VERSION,
     SNAPSHOTS_FILENAME,
     SnapshotStreamer,
-    read_snapshots,
 )
 from repro.obs.telemetry import (
     EVENTS_FILENAME,
@@ -99,7 +99,6 @@ __all__ = [
     "NullEventLog",
     "NULL_EVENT_LOG",
     "SCHEMA_VERSION",
-    "read_events",
     "RunManifest",
     "config_hash",
     "Telemetry",
@@ -116,12 +115,13 @@ __all__ = [
     "render_report_from_dir",
     "render_live",
     "DEFAULT_CAPACITY",
+    "read_json_tolerant",
     "read_jsonl_tolerant",
+    "merge_snapshots",
     "quantile_from_snapshot",
     "SnapshotStreamer",
     "SNAPSHOTS_FILENAME",
     "SNAPSHOT_SCHEMA_VERSION",
-    "read_snapshots",
     "AlertRule",
     "AlertEngine",
     "load_rules",

@@ -25,10 +25,10 @@ from __future__ import annotations
 import io
 import json
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_CAPACITY", "EventLog", "NullEventLog",
-           "NULL_EVENT_LOG", "read_events", "read_jsonl_tolerant"]
+           "NULL_EVENT_LOG", "read_json_tolerant", "read_jsonl_tolerant"]
 
 SCHEMA_VERSION = 1
 
@@ -128,21 +128,6 @@ class NullEventLog:
 NULL_EVENT_LOG = NullEventLog()
 
 
-def read_events(source: Union[str, "io.TextIOBase", Iterable[str]]) -> List[dict]:
-    """Parse an events.jsonl file (path, file object, or line iterable)."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines: Iterable[str] = fh.readlines()
-    else:
-        lines = source
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out
-
-
 def read_jsonl_tolerant(path) -> Tuple[List[dict], int]:
     """Parse a JSONL file, skipping unparseable lines instead of raising.
 
@@ -153,7 +138,11 @@ def read_jsonl_tolerant(path) -> Tuple[List[dict], int]:
     a warning, never traceback, so the file is read as bytes and each
     line decoded independently: a torn line counts toward
     ``n_bad_lines`` and is simply re-read complete on the next poll.
-    Returns ``(records, n_bad_lines)``.
+    So does a line nested too deeply to parse, and a line holding
+    anything but a JSON object.  Returns ``(records, n_bad_lines)``.
+
+    The one JSONL reader: callers that must not lose a line (the sweep
+    reducer's ``load_summary``) raise on ``n_bad_lines > 0``.
     """
     records: List[dict] = []
     bad = 0
@@ -164,7 +153,7 @@ def read_jsonl_tolerant(path) -> Tuple[List[dict], int]:
             continue
         try:
             record = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+        except (UnicodeDecodeError, ValueError, RecursionError):
             bad += 1
             continue
         if isinstance(record, dict):
@@ -172,3 +161,22 @@ def read_jsonl_tolerant(path) -> Tuple[List[dict], int]:
         else:
             bad += 1
     return records, bad
+
+
+def read_json_tolerant(path) -> Tuple[Optional[dict], str]:
+    """Parse a JSON-object file; return ``(record, "")`` or ``(None, why)``.
+
+    The file-sized twin of :func:`read_jsonl_tolerant` for the
+    artifact loaders (``metrics.json``, ``spans.json``, ``cell.json``,
+    manifests): an unreadable file, bad JSON, nesting too deep to parse
+    or a top-level value that is not an object comes back as a reason
+    the caller turns into a warning, never as a traceback.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        return None, str(exc)
+    if not isinstance(record, dict):
+        return None, f"not a JSON object ({type(record).__name__})"
+    return record, ""

@@ -19,14 +19,15 @@ paths it instruments:
 Histograms use fixed bucket boundaries chosen at creation time (the
 first caller wins; later callers with different boundaries get the
 existing histogram).  Fixed buckets make merged/streamed aggregation
-trivial and keep ``observe`` O(log n_buckets) via bisection.
+trivial (:func:`merge_snapshots`) and keep ``observe`` O(log n_buckets)
+via bisection.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -36,6 +37,7 @@ __all__ = [
     "NullMetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
+    "merge_snapshots",
     "quantile_from_snapshot",
 ]
 
@@ -135,28 +137,11 @@ class Histogram:
         guaranteed over-estimate by at most one bucket width.  The
         extremes are exact: ``q=0`` is the observed min and ``q=1`` the
         observed max, which also clamps every estimate into
-        ``[min, max]`` so percentiles are monotone in ``q``.
+        ``[min, max]`` so percentiles are monotone in ``q``.  Computed
+        by :func:`quantile_from_snapshot` over :meth:`snapshot`, so live
+        and file-side quantiles are one function.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.total == 0:
-            return float("nan")
-        if q == 0.0:
-            return self.min
-        if q == 1.0:
-            return self.max
-        rank = q * self.total
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= rank and c:
-                if i < len(self.bounds):
-                    # Clamp to the observed range: a one-bucket histogram
-                    # (or one whose samples all land below a wide bound)
-                    # would otherwise report a bound no sample reached.
-                    return min(max(self.bounds[i], self.min), self.max)
-                return self.max
-        return self.max
+        return quantile_from_snapshot(self.snapshot(), q)
 
     def snapshot(self) -> dict:
         """JSON-ready state: buckets, counts, count/sum/min/max."""
@@ -173,10 +158,10 @@ class Histogram:
 def quantile_from_snapshot(snapshot: dict, q: float) -> float:
     """Fixed-bucket q-quantile from a serialized histogram snapshot.
 
-    The file-side twin of :meth:`Histogram.percentile`, with the same
-    edge-case contract (NaN when empty, exact min/max at q=0/q=1,
-    estimates clamped into the observed range), so reports rendered
-    from ``metrics.json``/``snapshots.jsonl`` agree with live queries.
+    The one bucket walk: :meth:`Histogram.percentile` calls it on its
+    own snapshot.  NaN when empty, exact min/max at q=0/q=1, estimates
+    clamped into the observed range, so reports rendered from
+    ``metrics.json``/``snapshots.jsonl`` agree with live queries.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
@@ -201,6 +186,60 @@ def quantile_from_snapshot(snapshot: dict, q: float) -> float:
                 return min(max(bounds[i], lo), hi)
             return hi if hi < float("inf") else float("nan")
     return hi if hi < float("inf") else float("nan")
+
+
+def merge_snapshots(snaps: Iterable[dict]) -> dict:
+    """Fold registry snapshots into one registry-shaped snapshot.
+
+    The one registry fold: the gateway's cross-shard STATS, the sweep
+    reducer and the store's merged runs all call it.  Snapshots fold in
+    the order given (float addition order is part of the result);
+    counters and gauges sum; histograms merge element-wise (counts,
+    count and sum add; min/max combine ignoring ``None``).  Output keys
+    are sorted, so equal inputs give byte-equal JSON.
+
+    Raises ValueError naming the histogram when two snapshots disagree
+    on its bucket layout: a merge that kept one layout would write a
+    histogram whose ``count`` is not ``sum(counts)``.
+    """
+    counters: Dict[str, float] = {}
+    gauges: Dict[str, float] = {}
+    histograms: Dict[str, dict] = {}
+    for snap in snaps:
+        for key, value in (snap.get("counters") or {}).items():
+            counters[key] = counters.get(key, 0) + value
+        for key, value in (snap.get("gauges") or {}).items():
+            gauges[key] = gauges.get(key, 0) + value
+        for name, hist in (snap.get("histograms") or {}).items():
+            buckets = list(hist.get("buckets", []))
+            counts = list(hist.get("counts", []))
+            merged = histograms.get(name)
+            if merged is None:
+                histograms[name] = {
+                    "buckets": buckets, "counts": counts,
+                    "count": hist.get("count", 0),
+                    "sum": hist.get("sum", 0.0),
+                    "min": hist.get("min"), "max": hist.get("max"),
+                }
+                continue
+            if (merged["buckets"] != buckets
+                    or len(merged["counts"]) != len(counts)):
+                raise ValueError(
+                    f"histogram {name!r}: bucket layouts differ"
+                )
+            merged["counts"] = [a + b for a, b in zip(merged["counts"],
+                                                      counts)]
+            merged["count"] += hist.get("count", 0)
+            merged["sum"] += hist.get("sum", 0.0)
+            for key, pick in (("min", min), ("max", max)):
+                seen = [v for v in (merged[key], hist.get(key))
+                        if v is not None]
+                merged[key] = pick(seen) if seen else None
+    return {
+        "counters": {k: counters[k] for k in sorted(counters)},
+        "gauges": {k: gauges[k] for k in sorted(gauges)},
+        "histograms": {k: histograms[k] for k in sorted(histograms)},
+    }
 
 
 class MetricsRegistry:

@@ -21,12 +21,11 @@ mid-flight must still be inspectable.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.events import read_jsonl_tolerant
+from repro.obs.events import read_json_tolerant, read_jsonl_tolerant
 from repro.obs.metrics import quantile_from_snapshot
 from repro.obs.snapshots import SNAPSHOTS_FILENAME
 from repro.obs.telemetry import (
@@ -38,7 +37,6 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
-    "alerts_model",
     "build_summary",
     "load_artifacts",
     "render_diff",
@@ -47,7 +45,6 @@ __all__ = [
     "render_report_from_dir",
     "render_summary",
     "render_watch",
-    "summarize_histogram",
     "summary_from_dir",
     "summary_from_path",
 ]
@@ -76,6 +73,14 @@ def _table(headers):
     return TextTable(headers)
 
 
+def _read_json(path: str, label: str, warnings: List[str]) -> Optional[dict]:
+    """Tolerantly read one JSON-object artifact; a failure becomes a warning."""
+    record, why = read_json_tolerant(path)
+    if why:
+        warnings.append(f"unreadable {label}: {why}")
+    return record
+
+
 def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
     """Derive a manifest for directories that legitimately lack one.
 
@@ -87,17 +92,8 @@ def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
     """
     cell_path = os.path.join(out_dir, CELL_RECORD_FILENAME)
     sweep_path = os.path.join(out_dir, SWEEP_MANIFEST_FILENAME)
-
-    def _read(path: str, label: str) -> Optional[dict]:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:
-            warnings.append(f"unreadable {label}: {exc}")
-            return None
-
     if os.path.exists(cell_path):
-        cell = _read(cell_path, CELL_RECORD_FILENAME)
+        cell = _read_json(cell_path, CELL_RECORD_FILENAME, warnings)
         if cell is None:
             return None
         manifest = {
@@ -111,7 +107,8 @@ def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
         parent = os.path.join(out_dir, os.pardir, os.pardir,
                               SWEEP_MANIFEST_FILENAME)
         if os.path.exists(parent):
-            sweep = _read(parent, f"parent {SWEEP_MANIFEST_FILENAME}")
+            sweep = _read_json(parent, f"parent {SWEEP_MANIFEST_FILENAME}",
+                               warnings)
             if sweep is not None:
                 manifest["grid"] = (sweep.get("grid") or {}).get("name")
                 manifest["grid_hash"] = sweep.get("grid_hash")
@@ -119,7 +116,7 @@ def _synthesize_manifest(out_dir: str, warnings: List[str]) -> Optional[dict]:
         return manifest
 
     if os.path.exists(sweep_path):
-        sweep = _read(sweep_path, SWEEP_MANIFEST_FILENAME)
+        sweep = _read_json(sweep_path, SWEEP_MANIFEST_FILENAME, warnings)
         if sweep is None:
             return None
         grid = sweep.get("grid") or {}
@@ -166,12 +163,7 @@ def load_artifacts(out_dir: str) -> dict:
         path = os.path.join(out_dir, filename)
         if not os.path.exists(path):
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError) as exc:
-            warnings.append(f"unreadable {filename}: {exc}")
-            return None
+        return _read_json(path, filename, warnings)
 
     def _jsonl_file(filename: str) -> List[dict]:
         path = os.path.join(out_dir, filename)
@@ -220,11 +212,6 @@ def load_artifacts(out_dir: str) -> dict:
     return artifacts
 
 
-def _histogram_quantile(snapshot: dict, q: float) -> float:
-    """Fixed-bucket quantile estimate (see ``quantile_from_snapshot``)."""
-    return quantile_from_snapshot(snapshot, q)
-
-
 # -- the summary model ------------------------------------------------------
 
 
@@ -234,12 +221,11 @@ def _finite_or_none(value: Optional[float]) -> Optional[float]:
     return value
 
 
-def summarize_histogram(snap: dict) -> dict:
+def _summarize_histogram(snap: dict) -> dict:
     """One histogram snapshot -> the summary model's count/mean/pXX entry.
 
-    Shared with :mod:`repro.store.queries`, which rebuilds the same
-    entries from stored snapshots — same function, so the two paths
-    cannot round differently.
+    :func:`build_summary` applies it to every histogram, for the file
+    and the store path alike.
     """
     count = snap.get("count", 0)
     entry = {
@@ -255,13 +241,12 @@ def summarize_histogram(snap: dict) -> dict:
     return entry
 
 
-def alerts_model(alert_events: List[dict], fired: int, resolved: int) -> dict:
+def _alerts_model(alert_events: List[dict], fired: int, resolved: int) -> dict:
     """Replay alert transitions into the fired/resolved/active view.
 
-    ``alert_events`` are the ``alert.fired``/``alert.resolved`` event
-    payloads in log order; ``fired``/``resolved`` are the total counts
-    (callers already have them — from event volume here, from the
-    store's event rollups there).
+    ``alert_events`` are events in log order (only ``alert.fired``/
+    ``alert.resolved`` are read); ``fired``/``resolved`` are the total
+    counts, taken from the event volume by :func:`build_summary`.
     """
     transitions: List[dict] = []
     firing: Dict[Tuple[str, str], dict] = {}
@@ -300,62 +285,85 @@ def alerts_model(alert_events: List[dict], fired: int, resolved: int) -> dict:
     }
 
 
-def build_summary(artifacts: dict) -> dict:
-    """Distill loaded artifacts into one JSON-able summary model.
+def build_summary(
+    *,
+    manifest: Optional[dict],
+    metrics: dict,
+    spans: dict,
+    event_volume: Dict[str, int],
+    alert_events: List[dict],
+    snapshot_count: int,
+    first_t: Optional[float],
+    last_t: Optional[float],
+    warnings: List[str],
+) -> dict:
+    """Distill a run's counted inputs into one JSON-able summary model.
 
-    This is the single source both renderers consume: ``obs report``
-    prints it as text, ``obs report --format json`` dumps it verbatim.
+    The one builder of the model.  The file path
+    (:func:`summary_from_dir`) counts events and snapshots from the
+    JSONL artifacts; the store path
+    (:func:`repro.store.queries.summary_model`) reads the same counts
+    from its rollup tables.  ``obs report`` prints the model as text,
+    ``obs report --format json`` dumps it verbatim.  ``alert_events``
+    may hold any events; only alert transitions are read.
     """
-    metrics = artifacts.get("metrics") or {}
-    events = artifacts.get("events") or []
-    spans = artifacts.get("spans") or {}
-    snapshots = artifacts.get("snapshots") or []
     counters: Dict[str, float] = dict(metrics.get("counters") or {})
     gauges: Dict[str, float] = dict(metrics.get("gauges") or {})
+    histograms = metrics.get("histograms") or {}
+    snap_info: dict = {"count": snapshot_count}
+    if snapshot_count:
+        snap_info["first_t"] = first_t
+        snap_info["last_t"] = last_t
+    return {
+        "manifest": manifest,
+        "counters": counters,
+        "gauges": gauges,
+        "histograms": {
+            name: _summarize_histogram(histograms[name])
+            for name in sorted(histograms)
+        },
+        "spans": spans,
+        "events_total": sum(event_volume.values()),
+        "event_volume": event_volume,
+        "alerts": _alerts_model(
+            alert_events,
+            event_volume.get("alert.fired", 0),
+            event_volume.get("alert.resolved", 0),
+        ),
+        "slo": {
+            name: gauges[name]
+            for name in sorted(gauges) if name.startswith("slo.")
+        },
+        "snapshots": snap_info,
+        "events_dropped": int(counters.get("obs.events_dropped", 0)),
+        "warnings": list(warnings),
+    }
 
-    histograms: Dict[str, dict] = {}
-    for name in sorted(metrics.get("histograms") or {}):
-        histograms[name] = summarize_histogram(metrics["histograms"][name])
 
+def _summary_from_artifacts(artifacts: dict) -> dict:
+    """Count loaded artifacts' events and snapshots, then build the model."""
+    events = artifacts["events"]
+    snapshots = artifacts["snapshots"]
     event_volume: Dict[str, int] = {}
     for e in events:
         kind = e.get("kind", "?")
         event_volume[kind] = event_volume.get(kind, 0) + 1
-
-    alerts = alerts_model(
-        events,
-        event_volume.get("alert.fired", 0),
-        event_volume.get("alert.resolved", 0),
+    return build_summary(
+        manifest=artifacts["manifest"],
+        metrics=artifacts["metrics"],
+        spans=artifacts["spans"],
+        event_volume=event_volume,
+        alert_events=events,
+        snapshot_count=len(snapshots),
+        first_t=snapshots[0].get("t") if snapshots else None,
+        last_t=snapshots[-1].get("t") if snapshots else None,
+        warnings=artifacts["warnings"],
     )
-
-    slo = {
-        name: gauges[name] for name in sorted(gauges) if name.startswith("slo.")
-    }
-
-    snap_info = {"count": len(snapshots)}
-    if snapshots:
-        snap_info["first_t"] = snapshots[0].get("t")
-        snap_info["last_t"] = snapshots[-1].get("t")
-
-    return {
-        "manifest": artifacts.get("manifest"),
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": spans,
-        "events_total": len(events),
-        "event_volume": event_volume,
-        "alerts": alerts,
-        "slo": slo,
-        "snapshots": snap_info,
-        "events_dropped": int(counters.get("obs.events_dropped", 0)),
-        "warnings": list(artifacts.get("warnings") or []),
-    }
 
 
 def summary_from_dir(out_dir: str) -> dict:
     """Tolerantly load ``out_dir`` and build its summary model."""
-    return build_summary(load_artifacts(out_dir))
+    return _summary_from_artifacts(load_artifacts(out_dir))
 
 
 def summary_from_path(path: str, run: Optional[str] = None) -> dict:
@@ -636,7 +644,7 @@ def render_report(
     warnings: Optional[List[str]] = None,
 ) -> str:
     """Assemble the full text report from artifact dicts."""
-    summary = build_summary(
+    summary = _summary_from_artifacts(
         {
             "metrics": metrics,
             "events": events,
@@ -652,14 +660,10 @@ def render_report(
 def render_report_from_dir(out_dir: str, title: Optional[str] = None) -> str:
     """Load artifacts from ``out_dir`` and render the report."""
     artifacts = load_artifacts(out_dir)
-    return render_report(
-        artifacts["metrics"],
-        artifacts["events"],
-        artifacts["spans"],
-        artifacts["manifest"],
+    return render_summary(
+        _summary_from_artifacts(artifacts),
+        recal_events=artifacts["events"],
         title=title or f"telemetry report: {out_dir}",
-        snapshots=artifacts["snapshots"],
-        warnings=artifacts["warnings"],
     )
 
 
@@ -684,7 +688,7 @@ def render_watch(out_dir: str) -> str:
     snapshot line, which is skipped, not fatal.
     """
     artifacts = load_artifacts(out_dir)
-    summary = build_summary(artifacts)
+    summary = _summary_from_artifacts(artifacts)
     snapshots = artifacts["snapshots"]
     latest = snapshots[-1] if snapshots else None
     source = latest if latest is not None else artifacts["metrics"]

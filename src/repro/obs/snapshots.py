@@ -35,14 +35,12 @@ import json
 import os
 from typing import Callable, List, Optional
 
-from repro.obs.events import read_jsonl_tolerant
 from repro.obs.telemetry import Telemetry
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "SNAPSHOTS_FILENAME",
     "SnapshotStreamer",
-    "read_snapshots",
 ]
 
 SNAPSHOT_SCHEMA_VERSION = 1
@@ -180,16 +178,3 @@ class SnapshotStreamer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def read_snapshots(path, tolerant: bool = True):
-    """Read a ``snapshots.jsonl`` file.
-
-    Returns ``(snapshots, n_bad_lines)``.  With ``tolerant`` (default),
-    truncated or garbage lines are skipped and counted; otherwise any
-    bad line raises ``json.JSONDecodeError``.
-    """
-    if tolerant:
-        return read_jsonl_tolerant(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()], 0

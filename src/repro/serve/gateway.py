@@ -23,7 +23,7 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.serve.driver import ServeSession
 from repro.serve.shardmap import ShardMap
 from repro.serve.wire import (
@@ -44,61 +44,18 @@ def aggregate_snapshots(per_shard: Mapping[str, Dict[str, Any]]
                         ) -> Dict[str, Any]:
     """Merge per-shard coordinator registries into one cluster registry.
 
-    A deterministic pure function of its input: shards are folded in
-    sorted shard-id order, counters and gauges sum (zone ownership is
-    disjoint, so gauges like active-zone counts add), and histograms
-    with identical bucket bounds merge element-wise (counts add;
-    count/sum add; min/max combine).  Applying this to the live shards'
-    STATS snapshots and to offline per-shard WAL replays yields
-    byte-identical JSON — the cluster-level recovery guarantee rests on
-    exactly that (DESIGN.md §11).
+    :func:`~repro.obs.metrics.merge_snapshots` over the shards in sorted
+    shard-id order, so the float addition order is fixed: counters and
+    gauges sum (zone ownership is disjoint, so gauges like active-zone
+    counts add) and histograms merge element-wise.  Applying this to
+    the live shards' STATS snapshots and to offline per-shard WAL
+    replays yields byte-identical JSON — the cluster-level recovery
+    guarantee rests on exactly that (DESIGN.md §11).
 
     Raises ValueError when two shards disagree on a histogram's bucket
     bounds (they never should: bounds are compiled in).
     """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for shard_id in sorted(per_shard):
-        snap = per_shard[shard_id]
-        for key, value in snap.get("counters", {}).items():
-            counters[key] = counters.get(key, 0) + value
-        for key, value in snap.get("gauges", {}).items():
-            gauges[key] = gauges.get(key, 0) + value
-        for key, hist in snap.get("histograms", {}).items():
-            merged = histograms.get(key)
-            if merged is None:
-                histograms[key] = {
-                    "buckets": list(hist.get("buckets", [])),
-                    "counts": list(hist.get("counts", [])),
-                    "count": hist.get("count", 0),
-                    "sum": hist.get("sum", 0.0),
-                    "min": hist.get("min"),
-                    "max": hist.get("max"),
-                }
-                continue
-            if merged["buckets"] != list(hist.get("buckets", [])):
-                raise ValueError(
-                    f"histogram {key!r}: bucket bounds differ across "
-                    "shards"
-                )
-            merged["counts"] = [
-                a + b for a, b in zip(merged["counts"],
-                                      hist.get("counts", []))
-            ]
-            merged["count"] += hist.get("count", 0)
-            merged["sum"] += hist.get("sum", 0.0)
-            mins = [m for m in (merged["min"], hist.get("min"))
-                    if m is not None]
-            maxs = [m for m in (merged["max"], hist.get("max"))
-                    if m is not None]
-            merged["min"] = min(mins) if mins else None
-            merged["max"] = max(maxs) if maxs else None
-    return {
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "gauges": {k: gauges[k] for k in sorted(gauges)},
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
-    }
+    return merge_snapshots(per_shard[s] for s in sorted(per_shard))
 
 
 @dataclass(frozen=True)

@@ -228,34 +228,25 @@ def recalibrate_events(conn: sqlite3.Connection, run_id: int) -> List[dict]:
 
 
 def summary_model(conn: sqlite3.Connection, run: "RunInfo") -> dict:
-    """Rebuild ``obs report``'s summary model from rollup tables.
+    """Build ``obs report``'s summary model from rollup tables.
 
-    Field-for-field the same model :func:`repro.obs.report.build_summary`
-    produces from artifact files — reconstructed here from the stored
-    registry snapshot, the per-kind event rollups, the alert rows, and
-    the snapshot stats, without reading the raw event log (except the
-    alert rows, which *are* the indexed subset).  Byte-identity of the
-    JSON dump is the tested contract.
+    Reads the counted inputs of :func:`repro.obs.report.build_summary`
+    — the stored registry snapshot, the per-kind event rollups, the
+    alert rows and the snapshot stats — without reading the raw event
+    log (the alert rows *are* its indexed subset), then calls that one
+    builder.  Byte-identity of the JSON dump with the file path is the
+    tested contract.
     """
-    from repro.obs.report import alerts_model, summarize_histogram
+    from repro.obs.report import build_summary
 
-    metrics = metrics_snapshot(conn, run.run_id)
-    counters: Dict[str, float] = dict(metrics["counters"])
-    gauges: Dict[str, float] = dict(metrics["gauges"])
-    histograms = {
-        name: summarize_histogram(snap)
-        for name, snap in metrics["histograms"].items()
+    event_volume = {
+        kind: int(n)
+        for kind, n in conn.execute(
+            "SELECT kind, n FROM event_rollups WHERE run_id = ?"
+            " ORDER BY kind",
+            (run.run_id,),
+        )
     }
-
-    event_volume: Dict[str, int] = {}
-    events_total = 0
-    for kind, n in conn.execute(
-        "SELECT kind, n FROM event_rollups WHERE run_id = ? ORDER BY kind",
-        (run.run_id,),
-    ):
-        event_volume[kind] = int(n)
-        events_total += int(n)
-
     alert_events = [
         json.loads(payload)
         for (payload,) in conn.execute(
@@ -263,12 +254,6 @@ def summary_model(conn: sqlite3.Connection, run: "RunInfo") -> dict:
             (run.run_id,),
         )
     ]
-    alerts = alerts_model(
-        alert_events,
-        event_volume.get("alert.fired", 0),
-        event_volume.get("alert.resolved", 0),
-    )
-
     spans = {
         key: json.loads(snap)
         for key, snap in conn.execute(
@@ -276,34 +261,23 @@ def summary_model(conn: sqlite3.Connection, run: "RunInfo") -> dict:
             (run.run_id,),
         )
     }
-
     snap_row = conn.execute(
         "SELECT count, first_t_json, last_t_json FROM snapshot_stats"
         " WHERE run_id = ?",
         (run.run_id,),
     ).fetchone()
-    snap_info: dict = {"count": int(snap_row[0]) if snap_row else 0}
-    if snap_info["count"]:
-        snap_info["first_t"] = json.loads(snap_row[1])
-        snap_info["last_t"] = json.loads(snap_row[2])
-
-    return {
-        "manifest": run.manifest,
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "spans": spans,
-        "events_total": events_total,
-        "event_volume": event_volume,
-        "alerts": alerts,
-        "slo": {
-            name: gauges[name]
-            for name in sorted(gauges) if name.startswith("slo.")
-        },
-        "snapshots": snap_info,
-        "events_dropped": int(counters.get("obs.events_dropped", 0)),
-        "warnings": list(run.warnings),
-    }
+    snapshot_count = int(snap_row[0]) if snap_row else 0
+    return build_summary(
+        manifest=run.manifest,
+        metrics=metrics_snapshot(conn, run.run_id),
+        spans=spans,
+        event_volume=event_volume,
+        alert_events=alert_events,
+        snapshot_count=snapshot_count,
+        first_t=json.loads(snap_row[1]) if snapshot_count else None,
+        last_t=json.loads(snap_row[2]) if snapshot_count else None,
+        warnings=run.warnings,
+    )
 
 
 def summary_from_store(path: str, run: Optional[str] = None) -> dict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.clients.protocol import MeasurementReport
@@ -188,7 +189,9 @@ def ingest_reports(
     Crash contract: each batch commits atomically; rows and rollups of
     an interrupted batch vanish together on rollback, so reopening the
     store after a kill always finds rollups equal to a recomputation
-    over the committed samples.
+    over the committed samples.  A batch whose insert raises is rolled
+    back before the error propagates, so the connection and the
+    database stay usable.
     """
     result = result or ImportResult(label=str(run_id))
     validator = validator or ReportValidator()
@@ -199,54 +202,48 @@ def ingest_reports(
     ).fetchone()
     seq = int(row[0]) + 1
 
-    pending = 0
-    in_tx = False
-    for report in reports:
-        if not in_tx:
-            conn.execute("BEGIN IMMEDIATE")
-            in_tx = True
-        outcome = validator.validate(report, report.start_s)
-        zone_q = zone_r = None
-        if outcome.ok:
-            zone_q, zone_r = grid.zone_id_for(report.point)
-        samples = report.samples if report.samples else [report.value]
-        conn.execute(
-            _SAMPLE_INSERT,
-            (
-                run_id, seq, report.task_id, report.client_id,
-                report.network.value, report.kind.value, zone_q, zone_r,
-                report.start_s, report.end_s, report.point.lat,
-                report.point.lon, report.speed_ms, report.value,
-                len(samples), _canon(list(samples)),
-                _canon(dict(report.extras)),
-                1 if outcome.ok else 0, outcome.reason,
-            ),
-        )
-        result._count("samples")
-        if outcome.ok:
-            result.accepted += 1
-            conn.execute(
-                _ROLLUP_UPSERT,
-                (
-                    run_id, zone_q, zone_r,
-                    int(report.start_s // epoch),
-                    report.network.value, report.kind.value,
-                    len(samples), sum(samples),
-                    sum(s * s for s in samples),
-                    min(samples), max(samples),
-                    report.start_s, report.start_s,
-                ),
-            )
-        else:
-            result.rejected += 1
-        seq += 1
-        pending += 1
-        if pending >= batch_size:
-            conn.execute("COMMIT")
-            in_tx = False
-            pending = 0
-    if in_tx:
-        conn.execute("COMMIT")
+    reports = iter(reports)
+    while True:
+        batch = list(islice(reports, batch_size))
+        if not batch:
+            break
+        with transaction(conn):
+            for report in batch:
+                outcome = validator.validate(report, report.start_s)
+                zone_q = zone_r = None
+                if outcome.ok:
+                    zone_q, zone_r = grid.zone_id_for(report.point)
+                samples = report.samples if report.samples else [report.value]
+                conn.execute(
+                    _SAMPLE_INSERT,
+                    (
+                        run_id, seq, report.task_id, report.client_id,
+                        report.network.value, report.kind.value, zone_q,
+                        zone_r, report.start_s, report.end_s,
+                        report.point.lat, report.point.lon, report.speed_ms,
+                        report.value, len(samples), _canon(list(samples)),
+                        _canon(dict(report.extras)),
+                        1 if outcome.ok else 0, outcome.reason,
+                    ),
+                )
+                result._count("samples")
+                if outcome.ok:
+                    result.accepted += 1
+                    conn.execute(
+                        _ROLLUP_UPSERT,
+                        (
+                            run_id, zone_q, zone_r,
+                            int(report.start_s // epoch),
+                            report.network.value, report.kind.value,
+                            len(samples), sum(samples),
+                            sum(s * s for s in samples),
+                            min(samples), max(samples),
+                            report.start_s, report.start_s,
+                        ),
+                    )
+                else:
+                    result.rejected += 1
+                seq += 1
     rollups = conn.execute(
         "SELECT COUNT(*) FROM rollups WHERE run_id = ?", (run_id,)
     ).fetchone()

@@ -10,7 +10,8 @@ the sweep root:
   any worker count.
 * ``metrics.json`` — the cells' telemetry registries folded into one
   registry-shaped snapshot (counters summed, gauges averaged,
-  histograms bucket-merged) plus ``sweep.cells_*`` roll-up counters.
+  histograms bucket-merged; a cell whose bucket layout disagrees is
+  skipped with a warning) plus ``sweep.cells_*`` roll-up counters.
   The shape matches a single run's ``metrics.json``, so ``repro obs
   report`` and ``repro obs diff`` consume a sweep directory unchanged.
 
@@ -25,6 +26,8 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.events import read_json_tolerant, read_jsonl_tolerant
+from repro.obs.metrics import merge_snapshots
 from repro.sweep.grid import (
     CELL_FILENAME,
     CELLS_DIRNAME,
@@ -69,49 +72,13 @@ def _load_cell_records(out_dir: str, result: MergeResult) -> List[dict]:
                 "running, or killed before it wrote results?)"
             )
             continue
-        try:
-            with open(cell_path, "r", encoding="utf-8") as fh:
-                records.append(json.load(fh))
-        except (OSError, ValueError) as exc:
+        record, why = read_json_tolerant(cell_path)
+        if why:
             result.warnings.append(f"cells/{cell_id}: unreadable "
-                                   f"{CELL_FILENAME}: {exc}")
+                                   f"{CELL_FILENAME}: {why}")
+        else:
+            records.append(record)
     return records
-
-
-def _merge_histograms(acc: Dict[str, dict], name: str, snap: dict,
-                      result: MergeResult) -> None:
-    if name not in acc:
-        acc[name] = {
-            "buckets": list(snap.get("buckets", [])),
-            "counts": list(snap.get("counts", [])),
-            "count": int(snap.get("count", 0)),
-            "sum": float(snap.get("sum", 0.0)),
-            "min": snap.get("min"),
-            "max": snap.get("max"),
-        }
-        return
-    merged = acc[name]
-    if list(snap.get("buckets", [])) != merged["buckets"]:
-        # Different bucket layouts cannot be merged exactly; keep the
-        # first layout and fold only the scalar aggregates.
-        result.warnings.append(
-            f"histogram {name}: bucket layouts differ across cells; "
-            "bucket detail kept from the first cell only"
-        )
-    else:
-        counts = snap.get("counts", [])
-        merged["counts"] = [
-            a + b for a, b in zip(merged["counts"], counts)
-        ] if merged["counts"] else list(counts)
-    merged["count"] += int(snap.get("count", 0))
-    merged["sum"] += float(snap.get("sum", 0.0))
-    for key, pick in (("min", min), ("max", max)):
-        value = snap.get(key)
-        if value is None:
-            continue
-        merged[key] = value if merged[key] is None else pick(
-            merged[key], value
-        )
 
 
 def merge_metrics(cell_metrics: List[Tuple[str, dict]],
@@ -119,32 +86,30 @@ def merge_metrics(cell_metrics: List[Tuple[str, dict]],
     """Fold per-cell registry snapshots into one registry-shaped dict.
 
     ``cell_metrics`` is a list of ``(cell_id, metrics_dict)`` pairs in
-    sorted cell-id order.  Counters sum; gauges average (sum / cells
-    observing them, folded in cell order so the float result is
-    deterministic); histograms merge bucket-wise when layouts agree.
+    sorted cell-id order, folded cell by cell with
+    :func:`~repro.obs.metrics.merge_snapshots` (summing is sequential,
+    so this gives the same floats as one fold over all cells).  A cell
+    whose histogram layout disagrees with the cells before it, or that
+    holds a non-numeric value, is skipped with a warning on
+    ``result``.  Counters sum and histograms
+    merge; gauges are then averaged over the cells that observed them.
     """
     result = result or MergeResult("")
-    counters: Dict[str, float] = {}
-    gauge_sums: Dict[str, float] = {}
-    gauge_counts: Dict[str, int] = {}
-    histograms: Dict[str, dict] = {}
-    for _cell_id, metrics in cell_metrics:
-        for name, value in (metrics.get("counters") or {}).items():
-            counters[name] = counters.get(name, 0.0) + float(value)
-        for name, value in (metrics.get("gauges") or {}).items():
-            gauge_sums[name] = gauge_sums.get(name, 0.0) + float(value)
-            gauge_counts[name] = gauge_counts.get(name, 0) + 1
-        for name, snap in (metrics.get("histograms") or {}).items():
-            _merge_histograms(histograms, name, snap, result)
-    gauges = {
-        name: gauge_sums[name] / gauge_counts[name]
-        for name in sorted(gauge_sums)
+    merged = merge_snapshots([])
+    observed: Dict[str, int] = {}
+    for cell_id, metrics in cell_metrics:
+        try:
+            merged = merge_snapshots([merged, metrics])
+        except (TypeError, ValueError) as exc:
+            result.warnings.append(f"cells/{cell_id}: metrics skipped: {exc}")
+            continue
+        for name in metrics.get("gauges") or {}:
+            observed[name] = observed.get(name, 0) + 1
+    merged["gauges"] = {
+        name: value / observed[name]
+        for name, value in merged["gauges"].items()
     }
-    return {
-        "counters": {k: counters[k] for k in sorted(counters)},
-        "gauges": gauges,
-        "histograms": {k: histograms[k] for k in sorted(histograms)},
-    }
+    return merged
 
 
 def merge_cells(out_dir: str,
@@ -183,13 +148,13 @@ def merge_cells(out_dir: str,
                             METRICS_FILENAME)
         if not os.path.isfile(path):
             continue
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cell_metrics.append((cell_id, json.load(fh)))
-        except (OSError, ValueError) as exc:
+        metrics, why = read_json_tolerant(path)
+        if why:
             result.warnings.append(
-                f"cells/{cell_id}: unreadable {METRICS_FILENAME}: {exc}"
+                f"cells/{cell_id}: unreadable {METRICS_FILENAME}: {why}"
             )
+        else:
+            cell_metrics.append((cell_id, metrics))
     merged = merge_metrics(cell_metrics, result)
     status_counts: Dict[str, int] = {}
     for record in records:
@@ -233,12 +198,14 @@ def _ingest_into_store(out_dir: str, store_path: str,
 
 
 def load_summary(out_dir: str) -> List[dict]:
-    """Read ``summary.jsonl`` back into a list of cell records."""
+    """Read ``summary.jsonl`` back into a list of cell records.
+
+    Strict: the reducer wrote every line, so an unparseable one means
+    the file was damaged and raises ValueError rather than dropping a
+    cell.
+    """
     path = os.path.join(out_dir, SUMMARY_FILENAME)
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    records, n_bad = read_jsonl_tolerant(path)
+    if n_bad:
+        raise ValueError(f"{path}: {n_bad} unparseable line(s)")
     return records

@@ -53,6 +53,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.events import read_json_tolerant
 from repro.sweep.grid import (
     CELL_FILENAME,
     CELLS_DIRNAME,
@@ -481,11 +482,8 @@ class SweepRunner:
         """The terminal status already in ``cells/<id>/cell.json``, if any."""
         path = os.path.join(self.out_dir, CELLS_DIRNAME, cell_id,
                             CELL_FILENAME)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh).get("status")
-        except (OSError, ValueError):
-            return None
+        record, _ = read_json_tolerant(path)
+        return record.get("status") if record is not None else None
 
     def _account(self, result: SweepResult, cell_id: str,
                  status: str) -> None:

@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.telemetry import NULL_TELEMETRY, use_telemetry
 from repro.sweep.grid import SweepCell, SweepGrid
 
 __all__ = [
@@ -157,12 +158,18 @@ class WorkerContext:
         ``cache_max``.  Eviction runs after the insert because ``build``
         may itself memoize dependencies (a performance map memoizes the
         landscape and trace it is derived from).
+
+        ``build`` runs with telemetry disabled: a memoized artifact is
+        built once per worker, so charging its counters to whichever
+        cell missed first would make merged metrics depend on the
+        worker count.
         """
         memo = self._memo
         if key in memo:
             memo.move_to_end(key)
             return memo[key]
-        value = build()
+        with use_telemetry(NULL_TELEMETRY):
+            value = build()
         memo[key] = value
         memo.move_to_end(key)
         while len(memo) > self.cache_max:

@@ -6,7 +6,8 @@ from repro.obs.events import (
     NULL_EVENT_LOG,
     SCHEMA_VERSION,
     EventLog,
-    read_events,
+    read_json_tolerant,
+    read_jsonl_tolerant,
 )
 
 
@@ -55,12 +56,45 @@ class TestSerialization:
         log.emit("x", 1.0, v2=True)
         path = tmp_path / "events.jsonl"
         log.write_jsonl(path)
-        back = read_events(str(path))
+        back, n_bad = read_jsonl_tolerant(str(path))
         assert back == log.events()
+        assert n_bad == 0
 
-    def test_read_from_iterable(self):
-        lines = ['{"kind":"a","t":1.0}', "", '{"kind":"b","t":2.0}']
-        assert [e["kind"] for e in read_events(lines)] == ["a", "b"]
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind":"a","t":1.0}\n\n  \n{"kind":"b","t":2.0}\n')
+        records, n_bad = read_jsonl_tolerant(path)
+        assert [e["kind"] for e in records] == ["a", "b"]
+        assert n_bad == 0
+
+    def test_read_counts_deep_and_non_object_lines_as_bad(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind":"a"}\n' + "[" * 200000 + "\n[1, 2]\n"
+                        + '{"kind":"b"}\n')
+        records, n_bad = read_jsonl_tolerant(path)
+        assert [e["kind"] for e in records] == ["a", "b"]
+        assert n_bad == 2
+
+
+class TestReadJsonFile:
+    def test_object_round_trips(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"a": [1, 2]}')
+        assert read_json_tolerant(path) == ({"a": [1, 2]}, "")
+
+    def test_failures_become_reasons(self, tmp_path):
+        cases = {
+            "deep.json": "[" * 200000,
+            "bad.json": "{not json",
+            "list.json": "[1, 2]",
+        }
+        for name, text in cases.items():
+            path = tmp_path / name
+            path.write_text(text)
+            record, why = read_json_tolerant(path)
+            assert record is None and why, name
+        record, why = read_json_tolerant(tmp_path / "missing.json")
+        assert record is None and "No such file" in why
 
 
 class TestNullEventLog:

@@ -3,6 +3,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
+    merge_snapshots,
     quantile_from_snapshot,
 )
 
@@ -166,3 +168,87 @@ class TestNullRegistry:
         assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")
         assert NULL_REGISTRY.gauge("a") is NULL_REGISTRY.gauge("b")
         assert NULL_REGISTRY.histogram("a") is NULL_REGISTRY.histogram("b")
+
+
+#: Each histogram name has one layout, as compiled-in bounds do.
+_LAYOUTS = {"h.a": (1.0, 10.0), "h.b": (0.5, 2.0, 8.0)}
+_FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
+                    allow_infinity=False)
+
+
+@st.composite
+def _registry_snapshots(draw):
+    """One registry snapshot, histograms built by real observations."""
+    reg = MetricsRegistry()
+    for name in draw(st.lists(st.sampled_from(["c.x", "c.y", "c.z"]),
+                              unique=True)):
+        reg.counter(name).inc(draw(st.floats(min_value=0.0, max_value=1e6)))
+    for name in draw(st.lists(st.sampled_from(["g.x", "g.y"]), unique=True)):
+        reg.gauge(name).set(draw(_FINITE))
+    for name in draw(st.lists(st.sampled_from(sorted(_LAYOUTS)),
+                              unique=True)):
+        h = reg.histogram(name, _LAYOUTS[name])
+        for v in draw(st.lists(_FINITE, max_size=8)):
+            h.observe(v)
+    return reg.snapshot()
+
+
+class TestMergeSnapshots:
+    @settings(max_examples=150, deadline=None)
+    @given(snaps=st.lists(_registry_snapshots(), max_size=6),
+           split=st.integers(min_value=0, max_value=6))
+    def test_two_step_fold_equals_one_fold(self, snaps, split):
+        """Folding a prefix first, then the rest, gives the same floats
+        — the sweep reducer's cell-by-cell fold relies on it."""
+        at_once = merge_snapshots(snaps)
+        two_step = merge_snapshots(
+            [merge_snapshots(snaps[:split])] + snaps[split:]
+        )
+        assert json.dumps(two_step) == json.dumps(at_once)
+        stepwise = merge_snapshots([])
+        for snap in snaps:
+            stepwise = merge_snapshots([stepwise, snap])
+        assert json.dumps(stepwise) == json.dumps(at_once)
+
+    @settings(max_examples=150, deadline=None)
+    @given(snaps=st.lists(_registry_snapshots(), min_size=1, max_size=6))
+    def test_merged_histograms_stay_consistent(self, snaps):
+        merged = merge_snapshots(snaps)
+        for name, hist in merged["histograms"].items():
+            assert hist["count"] == sum(hist["counts"])
+            parts = [s["histograms"][name] for s in snaps
+                     if name in s["histograms"]]
+            assert hist["counts"] == [sum(c) for c in
+                                      zip(*(p["counts"] for p in parts))]
+            mins = [p["min"] for p in parts if p["min"] is not None]
+            assert hist["min"] == (min(mins) if mins else None)
+
+    def test_sums_and_sorted_keys(self):
+        merged = merge_snapshots([
+            {"counters": {"b": 1.0, "a": 2.0}, "gauges": {"g": 1.5}},
+            {"counters": {"a": 3.0}, "gauges": {"g": 2.5},
+             "histograms": {}},
+        ])
+        assert merged == {"counters": {"a": 5.0, "b": 1.0},
+                          "gauges": {"g": 4.0}, "histograms": {}}
+        assert list(merged["counters"]) == ["a", "b"]
+
+    def test_layout_mismatch_raises_naming_the_histogram(self):
+        def snap(buckets):
+            h = Histogram("lat", buckets)
+            h.observe(1.5)
+            return {"histograms": {"lat": h.snapshot()}}
+
+        with pytest.raises(ValueError, match="'lat'"):
+            merge_snapshots([snap((1.0,)), snap((2.0,))])
+        with pytest.raises(ValueError, match="'lat'"):
+            merge_snapshots([snap((1.0,)), {"histograms": {"lat": dict(
+                snap((1.0,))["histograms"]["lat"], counts=[0, 1, 0])}}])
+
+    def test_inputs_are_not_mutated(self):
+        h = Histogram("h", (1.0,))
+        h.observe(0.5)
+        a = {"histograms": {"h": h.snapshot()}}
+        before = json.dumps(a)
+        merge_snapshots([a, a])
+        assert json.dumps(a) == before

@@ -3,8 +3,8 @@
 import json
 
 from repro.obs.manifest import RunManifest
+from repro.obs.metrics import quantile_from_snapshot
 from repro.obs.report import (
-    _histogram_quantile,
     build_summary,
     load_artifacts,
     render_diff,
@@ -13,6 +13,7 @@ from repro.obs.report import (
     render_report_from_dir,
     render_watch,
     summary_from_dir,
+    summary_from_path,
 )
 from repro.obs.telemetry import Telemetry
 
@@ -41,12 +42,12 @@ class TestHistogramQuantile:
     def test_boundary_estimate(self):
         snap = {"buckets": [1.0, 2.0, 4.0], "counts": [50, 49, 1, 0],
                 "count": 100, "sum": 0.0, "max": 3.0}
-        assert _histogram_quantile(snap, 0.5) == 1.0
-        assert _histogram_quantile(snap, 0.99) == 2.0
+        assert quantile_from_snapshot(snap, 0.5) == 1.0
+        assert quantile_from_snapshot(snap, 0.99) == 2.0
 
     def test_empty_is_nan(self):
         snap = {"buckets": [1.0], "counts": [0, 0], "count": 0}
-        assert _histogram_quantile(snap, 0.5) != _histogram_quantile(snap, 0.5)
+        assert quantile_from_snapshot(snap, 0.5) != quantile_from_snapshot(snap, 0.5)
 
 
 class TestRender:
@@ -155,6 +156,52 @@ class TestPartialAndCorruptDirs:
         render_diff(str(empty), str(empty))  # must not raise
 
 
+class TestDeeplyNestedJson:
+    """JSON nested too deep to parse warns at every entry point."""
+
+    DEEP = "[" * 200000
+
+    def _deep_dir(self, tmp_path):
+        out = _write_dir(tmp_path, metrics=self.DEEP)
+        with open(out / "events.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(self.DEEP + "\n")
+        return out
+
+    def test_obs_report_and_watch(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = self._deep_dir(tmp_path)
+        assert main(["obs", "report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "unreadable metrics.json" in text
+        assert "events.jsonl: skipped 1 unparseable line(s)" in text
+        assert "epoch.close" in text  # the good events still count
+        assert main(["obs", "report", str(out), "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["events_total"] == 2
+        assert main(["obs", "watch", str(out)]) == 0
+        assert "unreadable metrics.json" in capsys.readouterr().out
+
+    def test_store_import(self, tmp_path):
+        from repro.cli import main
+
+        out = self._deep_dir(tmp_path)
+        db = str(tmp_path / "store.sqlite")
+        assert main(["store", "import", db, str(out)]) == 0
+        # The run's load warnings are stored with it.
+        warnings = summary_from_path(db)["warnings"]
+        assert any("unreadable metrics.json" in w for w in warnings)
+        assert "events.jsonl: skipped 1 unparseable line(s)" in warnings
+
+    def test_deep_cell_record(self, tmp_path):
+        cell = tmp_path / "cell"
+        cell.mkdir()
+        (cell / "cell.json").write_text(self.DEEP)
+        summary = summary_from_dir(str(cell))
+        assert summary["manifest"] is None
+        assert any("unreadable cell.json" in w for w in summary["warnings"])
+
+
 class TestSummaryModel:
     """`obs report --format json` shares the same model as the text path."""
 
@@ -174,12 +221,12 @@ class TestSummaryModel:
         tel.emit("alert.fired", 50.0, rule="r", metric="m", value=1.0)
         tel.emit("alert.resolved", 60.0, rule="r", metric="m", value=0.0)
         tel.emit("alert.fired", 70.0, rule="r", metric="m", value=2.0)
-        summary = build_summary({
-            "metrics": tel.metrics.snapshot(),
-            "events": tel.events.events(),
-            "spans": {}, "manifest": None, "snapshots": [],
-            "warnings": [],
-        })
+        events = tel.events.events()
+        summary = build_summary(
+            manifest=None, metrics=tel.metrics.snapshot(), spans={},
+            event_volume=tel.events.counts_by_kind(), alert_events=events,
+            snapshot_count=0, first_t=None, last_t=None, warnings=[],
+        )
         assert summary["alerts"]["fired"] == 2
         assert summary["alerts"]["resolved"] == 1
         active = summary["alerts"]["active"]

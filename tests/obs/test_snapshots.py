@@ -4,12 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.events import EventLog
-from repro.obs.snapshots import (
-    SNAPSHOT_SCHEMA_VERSION,
-    SnapshotStreamer,
-    read_snapshots,
-)
+from repro.obs.events import EventLog, read_jsonl_tolerant
+from repro.obs.snapshots import SNAPSHOT_SCHEMA_VERSION, SnapshotStreamer
 from repro.obs.telemetry import Telemetry
 from repro.sim.engine import EventEngine
 
@@ -89,7 +85,7 @@ class TestFileOutput:
         path = tmp_path / "snapshots.jsonl"
         good = json.dumps({"v": 1, "seq": 0, "t": 1.0})
         path.write_text(good + "\n" + '{"v": 1, "seq": 1, "t":')
-        snaps, n_bad = read_snapshots(path)
+        snaps, n_bad = read_jsonl_tolerant(path)
         assert len(snaps) == 1
         assert n_bad == 1
 
@@ -102,7 +98,7 @@ class TestFileOutput:
         torn = '{"v": 1, "seq": 1, "note": "naïve"'.encode("utf-8")
         cut = torn.index(b"\xc3\xaf") + 1
         path.write_bytes(good + b"\n" + torn[:cut])
-        snaps, n_bad = read_snapshots(path)
+        snaps, n_bad = read_jsonl_tolerant(path)
         assert len(snaps) == 1
         assert n_bad == 1
 

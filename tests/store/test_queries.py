@@ -72,21 +72,21 @@ class TestReportContract:
     """Contract 2: store summary == file-backed ``obs report`` summary."""
 
     def test_summary_byte_identical_to_file_path(self, store, tmp_path):
-        from repro.obs.report import build_summary, load_artifacts
+        from repro.obs.report import summary_from_dir
 
         out = write_telemetry_dir(tmp_path / "tel")
         import_telemetry_dir(store, out, "t")
 
-        want = build_summary(load_artifacts(out))
+        want = summary_from_dir(out)
         got = summary_from_store(str(tmp_path / "store.sqlite"), run="t")
         assert json.dumps(got, indent=2, sort_keys=True) == \
             json.dumps(want, indent=2, sort_keys=True)
 
     def test_text_report_matches_file_renderer(self, store, tmp_path):
         from repro.obs.report import (
-            build_summary,
             load_artifacts,
             render_summary,
+            summary_from_dir,
         )
 
         out = write_telemetry_dir(tmp_path / "tel")
@@ -95,7 +95,7 @@ class TestReportContract:
         artifacts = load_artifacts(out)
         recals = [e for e in artifacts.get("events") or []
                   if e.get("kind") == "calibration.recalibrate"]
-        want = render_summary(build_summary(artifacts),
+        want = render_summary(summary_from_dir(out),
                               recal_events=recals, title="same")
         got = render_report_from_store(
             str(tmp_path / "store.sqlite"), run="t", title="same")

@@ -1,6 +1,7 @@
 """Ingest-path tests (repro.store.writers): rollup math, idempotence."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -107,6 +108,46 @@ class TestIngestReports:
         assert epoch_index == int(1250.0 // 600.0) == 2
         assert stored_rollups(store, run_id) == \
             fold_rollups(store, run_id, epoch_s=600.0)
+
+
+class TestFailedBatch:
+    """An insert that raises rolls its batch back and frees the store."""
+
+    def test_failed_batch_leaves_no_rows_and_retries_succeed(
+            self, store, tmp_path):
+        run_id = create_run(store, "r", "wal")
+        reports = [make_report(i) for i in range(3)]
+        # NaN binds as NULL into samples.value (NOT NULL): IntegrityError
+        # on the last report of the second batch.
+        reports.append(make_report(3, value=float("nan")))
+        with pytest.raises(sqlite3.IntegrityError):
+            ingest_reports(store, run_id, reports, default_grid(),
+                           batch_size=2)
+        assert not store.in_transaction
+        seqs = [row[0] for row in store.execute(
+            "SELECT seq FROM samples WHERE run_id = ? ORDER BY seq",
+            (run_id,))]
+        assert seqs == [0, 1]  # the first batch committed, the second not
+        assert stored_rollups(store, run_id) == fold_rollups(store, run_id)
+
+        # A second connection is not locked out ...
+        other = connect(str(tmp_path / "store.sqlite"))
+        try:
+            other.execute("PRAGMA busy_timeout = 100")
+            result = ingest_reports(other, run_id, [make_report(2)],
+                                    default_grid())
+            assert result.accepted == 1
+        finally:
+            other.close()
+        # ... and the same connection can start a new transaction.
+        result = ingest_reports(store, run_id,
+                                [make_report(i) for i in range(4, 6)],
+                                default_grid())
+        assert result.accepted == 2
+        n = store.execute("SELECT COUNT(*) FROM samples WHERE run_id = ?",
+                          (run_id,)).fetchone()[0]
+        assert n == 5
+        assert stored_rollups(store, run_id) == fold_rollups(store, run_id)
 
 
 class TestCreateRun:

@@ -106,3 +106,32 @@ class TestStoreTargetDeterminism:
         assert status_1["store"]["rows_ingested"] == \
             status_2["store"]["rows_ingested"]
         assert dump_1 == dump_2
+
+
+class TestMemoizedBuildsInvariance:
+    """A memoized build must not charge its telemetry to one cell.
+
+    Driving cells share a memoized performance map.  One worker builds
+    it once for both cells, two workers build it once each, so any
+    counters recorded during the build would make the merged
+    ``metrics.json`` depend on the worker count.
+    """
+
+    def test_driving_metrics_byte_identical_at_1_and_2_workers(
+            self, tmp_path):
+        from repro.sweep import SweepGrid
+
+        grid = SweepGrid(
+            "driving-small", ["driving"], seeds=[7],
+            cells=[{"mode": "multisim", "strategy": "wiscape"},
+                   {"mode": "multisim", "strategy": "round-robin"}],
+            base={"survey_days": 1, "n_pages": 20},
+        )
+        outs = {}
+        for workers in (1, 2):
+            out = str(tmp_path / f"w{workers}")
+            assert SweepRunner(grid, out, workers=workers).run().success
+            outs[workers] = out
+        for filename in DETERMINISTIC_SWEEP_FILES:
+            assert _read(os.path.join(outs[1], filename)) == \
+                _read(os.path.join(outs[2], filename)), filename
