@@ -34,7 +34,9 @@ The headline numbers (also asserted here so CI catches regressions):
 * the measurement store: 100k synthetic reports ingested with
   incremental rollups (``store.ingest_samples_per_s`` for the history
   guard), and the rollup-table replay query must answer byte-identically
-  to — and >= 2x faster than — a full JSONL refold of the same stream.
+  to — and >= 2x faster than — a full JSONL refold of the same stream;
+  the ingest's stage table (prepare rows, sample insert, rollup upsert,
+  commit; µs per report) is recorded as ``store.stages_us_per_report``.
 """
 
 from __future__ import annotations
@@ -610,7 +612,8 @@ def bench_store():
     re-validate + accumulate — what every query cost before the
     store existed).  The two snapshots must be byte-identical; the
     rollup path must be >= 2x faster.  ``ingest_samples_per_s`` is the
-    history-guarded headline.
+    history-guarded headline.  ``stages_us_per_report`` is the ingest's
+    stage table (see :func:`_store_stages`).
     """
     from repro.clients.protocol import MeasurementReport, MeasurementType
     from repro.core.validation import ReportValidator
@@ -666,6 +669,9 @@ def bench_store():
         ingest_reports(conn, run_id, reports, grid)
         ingest_s = time.perf_counter() - t0
 
+        stages = _store_stages(os.path.join(tmp, "stages.sqlite"),
+                               reports, grid)
+
         def query_store():
             return replay_snapshot(conn, run_id)
 
@@ -715,7 +721,56 @@ def bench_store():
         "jsonl_refold_ms": refold_s * 1e3,
         "speedup_query_vs_refold": refold_s / max(query_s, 1e-9),
         "snapshot_byte_identical": identical,
+        "stages_us_per_report": stages,
     }
+
+
+def _store_stages(path, reports, grid):
+    """Wall µs per report of each store ingest stage, into a fresh store.
+
+    Replays ``ingest_reports``' batch loop over the same helpers and
+    batch size, timing each stage apart: ``prepare_rows`` (validate,
+    zone-bin, build the parameter tuples), ``insert_samples``,
+    ``upsert_rollups``, and the ``COMMIT`` that closes the batch's
+    transaction.
+    """
+    from repro.core.validation import ReportValidator
+    from repro.store import connect, create_run, transaction
+    from repro.store.writers import (
+        DEFAULT_BATCH_SIZE,
+        default_epoch_s,
+        insert_samples,
+        prepare_rows,
+        upsert_rollups,
+    )
+
+    conn = connect(path)
+    run_id = create_run(conn, "stages", kind="bench")
+    validator = ReportValidator()
+    epoch_s = default_epoch_s()
+    totals = dict.fromkeys(
+        ("prepare_rows", "insert_samples", "upsert_rollups", "commit"), 0.0
+    )
+    for lo in range(0, len(reports), DEFAULT_BATCH_SIZE):
+        t0 = time.perf_counter()
+        sample_rows, rollup_rows = prepare_rows(
+            run_id, lo, reports[lo:lo + DEFAULT_BATCH_SIZE], grid,
+            validator, epoch_s,
+        )
+        t1 = time.perf_counter()
+        with transaction(conn):
+            insert_samples(conn, sample_rows)
+            t2 = time.perf_counter()
+            upsert_rollups(conn, rollup_rows)
+            t3 = time.perf_counter()
+        t4 = time.perf_counter()
+        totals["prepare_rows"] += t1 - t0
+        totals["insert_samples"] += t2 - t1
+        totals["upsert_rollups"] += t3 - t2
+        totals["commit"] += t4 - t3
+    conn.close()
+    return {stage: total / len(reports) * 1e6
+            for stage, total in totals.items()}
 
 
 def main():

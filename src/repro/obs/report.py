@@ -145,9 +145,10 @@ def load_artifacts(out_dir: str) -> dict:
     a sweep root (``sweep_manifest.json`` + merged artifacts) and a
     sweep cell directory (``cell.json``); for the sweep layouts the
     manifest is synthesized from the sweep/cell records.  Never raises
-    on a partial or corrupt directory: unreadable files and unparseable
-    JSONL lines become entries in the returned ``warnings`` list and the
-    affected artifact keeps its empty default.
+    on a partial or corrupt directory: unreadable files, unparseable
+    JSONL lines and ``metrics.json`` sections that are not objects
+    become entries in the returned ``warnings`` list and the affected
+    artifact keeps its empty default.
     """
     artifacts: dict = {
         "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
@@ -186,6 +187,13 @@ def load_artifacts(out_dir: str) -> dict:
 
     metrics = _json_file(METRICS_FILENAME)
     if metrics is not None:
+        for section in ("counters", "gauges", "histograms"):
+            if not isinstance(metrics.get(section, {}), dict):
+                warnings.append(
+                    f"{METRICS_FILENAME}: dropped {section!r} "
+                    "(not a JSON object)"
+                )
+                metrics[section] = {}
         artifacts["metrics"] = metrics
     elif not os.path.exists(os.path.join(out_dir, METRICS_FILENAME)):
         if is_sweep_root:

@@ -42,6 +42,9 @@ __all__ = [
     "import_telemetry_dir",
     "import_wal",
     "ingest_reports",
+    "insert_samples",
+    "prepare_rows",
+    "upsert_rollups",
 ]
 
 #: Reports per ingest transaction.  Small enough that a crash loses
@@ -51,6 +54,12 @@ DEFAULT_BATCH_SIZE = 5000
 _ALERT_KINDS = ("alert.fired", "alert.resolved")
 
 
+#: The one canonical JSON encoder (sorted keys, compact separators),
+#: built once: ``json.dumps`` with keyword arguments constructs a fresh
+#: encoder on every call, and ingest encodes two columns per report.
+_CANON_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canon(obj) -> str:
     """Canonical JSON encoding (sorted keys, compact separators).
 
@@ -58,7 +67,7 @@ def _canon(obj) -> str:
     equality — the sweep determinism test compares store dumps across
     worker counts with plain string comparison.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANON_ENCODER.encode(obj)
 
 
 @dataclass
@@ -166,6 +175,64 @@ VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
 """
 
 
+def prepare_rows(
+    run_id: int,
+    first_seq: int,
+    batch: List[MeasurementReport],
+    grid: ZoneGrid,
+    validator: ReportValidator,
+    epoch_s: float,
+) -> Tuple[List[tuple], List[tuple]]:
+    """Validate and zone-bin ``batch``; return its sample and rollup rows.
+
+    Pure Python, no database access: the parameter tuples for
+    ``_SAMPLE_INSERT`` (one per report, seq from ``first_seq``) and for
+    ``_ROLLUP_UPSERT`` (one per accepted report, in report order).  The
+    rollup arithmetic is exactly what a sequential refold does —
+    ``sum()`` in sample order — so the upserts keep every rollup
+    float-for-float equal to it.
+    """
+    sample_rows: List[tuple] = []
+    rollup_rows: List[tuple] = []
+    validate = validator.validate
+    zone_id_for = grid.zone_id_for
+    for seq, report in enumerate(batch, first_seq):
+        start_s = report.start_s
+        point = report.point
+        network = report.network.value
+        kind = report.kind.value
+        samples = report.samples or [report.value]
+        outcome = validate(report, start_s)
+        if outcome.ok:
+            zone_q, zone_r = zone_id_for(point)
+            rollup_rows.append((
+                run_id, zone_q, zone_r, int(start_s // epoch_s), network,
+                kind, len(samples), sum(samples),
+                sum(s * s for s in samples), min(samples), max(samples),
+                start_s, start_s,
+            ))
+        else:
+            zone_q = zone_r = None
+        sample_rows.append((
+            run_id, seq, report.task_id, report.client_id, network, kind,
+            zone_q, zone_r, start_s, report.end_s, point.lat, point.lon,
+            report.speed_ms, report.value, len(samples), _canon(samples),
+            _canon(report.extras),
+            1 if outcome.ok else 0, outcome.reason,
+        ))
+    return sample_rows, rollup_rows
+
+
+def insert_samples(conn, rows: List[tuple]) -> None:
+    """Insert prepared sample rows (one statement, executed per row)."""
+    conn.executemany(_SAMPLE_INSERT, rows)
+
+
+def upsert_rollups(conn, rows: List[tuple]) -> None:
+    """Fold prepared rollup rows in, in the given (report) order."""
+    conn.executemany(_ROLLUP_UPSERT, rows)
+
+
 def ingest_reports(
     conn,
     run_id: int,
@@ -186,12 +253,18 @@ def ingest_reports(
     but no rollup, matching the coordinator never touching zone records
     for them.
 
+    Each batch is prepared by :func:`prepare_rows` and then written in
+    one transaction by :func:`insert_samples` and :func:`upsert_rollups`.
+    ``result`` counts the samples and the accepted and rejected reports
+    of committed batches; the run's rollup count is the caller's to
+    read (:func:`import_wal` does).
+
     Crash contract: each batch commits atomically; rows and rollups of
     an interrupted batch vanish together on rollback, so reopening the
     store after a kill always finds rollups equal to a recomputation
-    over the committed samples.  A batch whose insert raises is rolled
-    back before the error propagates, so the connection and the
-    database stay usable.
+    over the committed samples.  A batch whose preparation or insert
+    raises leaves none of its rows, and the connection and the database
+    stay usable.
     """
     result = result or ImportResult(label=str(run_id))
     validator = validator or ReportValidator()
@@ -207,47 +280,16 @@ def ingest_reports(
         batch = list(islice(reports, batch_size))
         if not batch:
             break
+        sample_rows, rollup_rows = prepare_rows(
+            run_id, seq, batch, grid, validator, epoch
+        )
         with transaction(conn):
-            for report in batch:
-                outcome = validator.validate(report, report.start_s)
-                zone_q = zone_r = None
-                if outcome.ok:
-                    zone_q, zone_r = grid.zone_id_for(report.point)
-                samples = report.samples if report.samples else [report.value]
-                conn.execute(
-                    _SAMPLE_INSERT,
-                    (
-                        run_id, seq, report.task_id, report.client_id,
-                        report.network.value, report.kind.value, zone_q,
-                        zone_r, report.start_s, report.end_s,
-                        report.point.lat, report.point.lon, report.speed_ms,
-                        report.value, len(samples), _canon(list(samples)),
-                        _canon(dict(report.extras)),
-                        1 if outcome.ok else 0, outcome.reason,
-                    ),
-                )
-                result._count("samples")
-                if outcome.ok:
-                    result.accepted += 1
-                    conn.execute(
-                        _ROLLUP_UPSERT,
-                        (
-                            run_id, zone_q, zone_r,
-                            int(report.start_s // epoch),
-                            report.network.value, report.kind.value,
-                            len(samples), sum(samples),
-                            sum(s * s for s in samples),
-                            min(samples), max(samples),
-                            report.start_s, report.start_s,
-                        ),
-                    )
-                else:
-                    result.rejected += 1
-                seq += 1
-    rollups = conn.execute(
-        "SELECT COUNT(*) FROM rollups WHERE run_id = ?", (run_id,)
-    ).fetchone()
-    result.rows["rollups"] = int(rollups[0])
+            insert_samples(conn, sample_rows)
+            upsert_rollups(conn, rollup_rows)
+        seq += len(batch)
+        result._count("samples", len(sample_rows))
+        result.accepted += len(rollup_rows)
+        result.rejected += len(sample_rows) - len(rollup_rows)
     return result
 
 
@@ -281,10 +323,13 @@ def import_wal(
     result = ImportResult(label=label, run_ids=[run_id])
     result._count("runs")
     reports = (report_from_wire(rec) for rec in iter_wal_records(wal_dir))
-    return ingest_reports(
-        conn, run_id, reports, grid,
-        batch_size=batch_size, result=result,
-    )
+    ingest_reports(conn, run_id, reports, grid,
+                   batch_size=batch_size, result=result)
+    rollups = conn.execute(
+        "SELECT COUNT(*) FROM rollups WHERE run_id = ?", (run_id,)
+    ).fetchone()
+    result.rows["rollups"] = int(rollups[0])
+    return result
 
 
 def import_telemetry_dir(
@@ -306,13 +351,13 @@ def import_telemetry_dir(
 
     artifacts = load_artifacts(out_dir)
     manifest = artifacts.get("manifest")
+    warnings = artifacts["warnings"]
     run_kind = kind or (manifest or {}).get("run_kind") or "telemetry"
     run_id = create_run(
         conn, label, kind=str(run_kind), source=os.path.abspath(out_dir),
-        manifest=manifest, warnings=artifacts.get("warnings") or [],
-        replace=replace,
+        manifest=manifest, warnings=warnings, replace=replace,
     )
-    result = ImportResult(label=label, run_ids=[run_id])
+    result = ImportResult(label=label, run_ids=[run_id], warnings=warnings)
     result._count("runs")
 
     metrics = artifacts.get("metrics") or {}

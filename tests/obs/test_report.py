@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import quantile_from_snapshot
 from repro.obs.report import (
@@ -148,6 +150,27 @@ class TestPartialAndCorruptDirs:
         summary = summary_from_dir(str(out))
         assert summary["snapshots"]["count"] == 1
         assert any("snapshots.jsonl" in w for w in summary["warnings"])
+
+    @pytest.mark.parametrize("section", ["counters", "gauges", "histograms"])
+    def test_non_object_metrics_section_dropped(self, tmp_path, capsys,
+                                                section):
+        from repro.cli import main
+
+        metrics = json.loads(_write_dir(tmp_path, name="good").joinpath(
+            "metrics.json").read_text())
+        metrics[section] = [1]
+        out = _write_dir(tmp_path, metrics=json.dumps(metrics))
+        warning = f"metrics.json: dropped '{section}' (not a JSON object)"
+        assert main(["obs", "report", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert warning in text
+        if section != "counters":
+            assert "coordinator.ticks" in text  # the other sections stay
+        assert main(["obs", "report", str(out), "--format", "json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert warning in summary["warnings"]
+        assert main(["obs", "watch", str(out)]) == 0
+        assert warning in capsys.readouterr().out
 
     def test_watch_and_diff_survive_empty_dir(self, tmp_path):
         empty = tmp_path / "empty"

@@ -21,7 +21,7 @@ NETS = tuple(NetworkId)
 
 
 def make_report(i, *, start_s=None, value=None, samples=None,
-                end_offset_s=5.0, speed_ms=10.0):
+                end_offset_s=5.0, speed_ms=10.0, extras=None):
     """One deterministic, validator-clean report keyed off ``i``."""
     anchor = madison_study_area().anchor
     kind = KINDS[i % 3]
@@ -41,6 +41,7 @@ def make_report(i, *, start_s=None, value=None, samples=None,
         speed_ms=speed_ms,
         value=float(value),
         samples=list(samples or []),
+        extras=dict(extras or {}),
     )
 
 

@@ -116,6 +116,21 @@ class TestStoreErrors:
                              str(tmp_path / "db.sqlite"), str(empty))
         assert rc == 2 and "nothing importable" in err
 
+    @pytest.mark.parametrize("name, tail, warning", [
+        ("events.jsonl", '{"kind": "epoch.close", "t":',
+         "events.jsonl: skipped 1 unparseable line(s)"),
+        ("metrics.json", "{not json", "unreadable metrics.json: "),
+    ], ids=["torn-events", "unreadable-metrics"])
+    def test_import_prints_load_warnings(self, capsys, tmp_path, tel_dir,
+                                         name, tail, warning):
+        with open(f"{tel_dir}/{name}", "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        db = str(tmp_path / "db.sqlite")
+        rc, out, err = run_cli(capsys, "store", "import", db, tel_dir)
+        assert rc == 0 and "imported telemetry" in out
+        assert any(line.startswith(f"warning: {warning}")
+                   for line in err.splitlines()), err
+
 
 class TestServeReplayStore:
     def test_store_replay_matches_plain_replay(self, capsys, tmp_path,

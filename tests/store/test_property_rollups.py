@@ -18,8 +18,10 @@ from repro.store import (
     connect,
     create_run,
     ingest_reports,
+    logical_dump,
     replay_snapshot,
 )
+from repro.store.writers import DEFAULT_BATCH_SIZE
 
 from tests.store.helpers import (
     KINDS,
@@ -43,6 +45,7 @@ def _build_report(spec):
         start_s=spec["start"],
         samples=samples,
         speed_ms=500.0 if spec["bad_speed"] else 10.0,
+        extras=spec["extras"],
     )
 
 
@@ -52,6 +55,11 @@ _SPEC = st.fixed_dictionaries({
     "bad_speed": st.booleans(),
     "start": st.floats(min_value=0.0, max_value=1.0e6,
                        allow_nan=False, allow_infinity=False),
+    "extras": st.dictionaries(
+        st.sampled_from(["jitter", "loss", "failures"]),
+        st.floats(min_value=0.0, max_value=1.0e6,
+                  allow_nan=False, allow_infinity=False),
+        max_size=3),
 })
 
 
@@ -113,3 +121,29 @@ def test_incremental_equals_one_shot(specs):
             conn.close()
 
     assert dump([reports]) == dump([reports[:split], reports[split:]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(specs=st.lists(_SPEC, max_size=40))
+def test_batch_size_does_not_change_the_store(specs):
+    """Every row and rollup is the same for any batch size.
+
+    Batches of 1 write one report per transaction; the default batch
+    writes all of them in one ``executemany`` pair.  The stores must be
+    logically equal, and each one's rollups must equal the sequential
+    refold float-for-float.
+    """
+    reports = [_build_report(s) for s in specs]
+    dumps = []
+    for batch_size in (1, 7, DEFAULT_BATCH_SIZE):
+        conn = connect(":memory:")
+        try:
+            run_id = create_run(conn, "prop", "wal")
+            ingest_reports(conn, run_id, reports, _GRID,
+                           batch_size=batch_size)
+            assert stored_rollups(conn, run_id) == \
+                fold_rollups(conn, run_id)
+            dumps.append(logical_dump(conn))
+        finally:
+            conn.close()
+    assert dumps[0] == dumps[1] == dumps[2]

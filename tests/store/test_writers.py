@@ -150,6 +150,29 @@ class TestFailedBatch:
         assert stored_rollups(store, run_id) == fold_rollups(store, run_id)
 
 
+    def test_failed_preparation_leaves_no_rows(self, store):
+        """A batch that cannot be turned into rows writes none of them."""
+        run_id = create_run(store, "r", "wal")
+        reports = [make_report(i) for i in range(3)]
+        # JSON cannot encode a set: TypeError while preparing the rows
+        # of the second batch, before it touches the database.
+        reports.append(make_report(3, extras={"bad": {1, 2}}))
+        with pytest.raises(TypeError):
+            ingest_reports(store, run_id, reports, default_grid(),
+                           batch_size=2)
+        assert not store.in_transaction
+        seqs = [row[0] for row in store.execute(
+            "SELECT seq FROM samples WHERE run_id = ? ORDER BY seq",
+            (run_id,))]
+        assert seqs == [0, 1]  # the first batch committed, the second not
+        assert stored_rollups(store, run_id) == fold_rollups(store, run_id)
+        result = ingest_reports(store, run_id,
+                                [make_report(i) for i in range(2, 4)],
+                                default_grid())
+        assert (result.accepted, result.rows) == (2, {"samples": 2})
+        assert stored_rollups(store, run_id) == fold_rollups(store, run_id)
+
+
 class TestCreateRun:
     def test_duplicate_label_refused(self, store):
         create_run(store, "r", "wal")

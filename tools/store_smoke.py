@@ -4,6 +4,7 @@ Exercises the store against real artifacts produced by real processes,
 end to end through the CLI::
 
     serve run + loadgen -> WAL -> serve replay --store  (contract 1)
+    WAL -> store import -> printed rollup count == table count
     monitor --telemetry -> store import -> obs report   (contract 2)
     store compact -> re-verify both                     (durability)
 
@@ -26,7 +27,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -116,6 +119,23 @@ def main() -> int:
             print(f"  byte-identical "
                   f"({counters['coordinator.reports_ingested']:.0f} "
                   "reports)")
+
+        print("store import of the WAL: printed rollup count ...")
+        out = run_cli("store", "import", store, wal_dir, "--label",
+                      "wal-import")
+        printed = re.search(r"(\d+) rollups", out)
+        conn = sqlite3.connect(store)
+        try:
+            counted = conn.execute(
+                "SELECT COUNT(*) FROM rollups JOIN runs USING (run_id)"
+                " WHERE label = ?", ("wal-import",)).fetchone()[0]
+        finally:
+            conn.close()
+        if printed is None or int(printed.group(1)) != counted:
+            failures.append(f"store import printed {out.strip()!r} but "
+                            f"the run has {counted} rollups")
+        else:
+            print(f"  {counted} rollups, as printed")
 
         print("monitor run with telemetry artifacts ...")
         live_dir = os.path.join(tmp, "live")
